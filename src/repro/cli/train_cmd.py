@@ -49,14 +49,6 @@ def _add_arguments(parser: argparse.ArgumentParser) -> None:
         "ignored by the simulator)",
     )
     parser.add_argument(
-        "--fuse-waves", choices=["on", "off"], default="on",
-        help="concurrent runtimes only: compile the step schedule into "
-        "fused per-worker command blocks so the scheduler issues one "
-        "command per block instead of one per wave (default on; 'off' "
-        "keeps the per-wave reference path — trajectories are "
-        "bit-identical either way; ignored by the simulator)",
-    )
-    parser.add_argument(
         "--granularity", choices=["layer", "sublayer"], default="layer",
         help="stage-graph slicing granularity for the concurrent runtimes: "
         "'sublayer' splits attention/FFN/norm-residual sub-chains into "
@@ -165,7 +157,6 @@ def _run(args: argparse.Namespace) -> int:
         recompute_segment=args.recompute_segment,
         runtime=args.runtime,
         overlap_boundary=args.overlap_boundary == "on",
-        fuse_waves=args.fuse_waves == "on",
         granularity=args.granularity,
         partition=args.partition,
         replicas=args.replicas,

@@ -127,7 +127,6 @@ class _BaseWorkload:
         replicas: int = 1,
         autosave_every: int | None = None,
         autosave_dir: str | None = None,
-        fuse_waves: bool | None = None,
     ) -> WorkloadBundle:
         raise NotImplementedError
 
@@ -148,13 +147,11 @@ class _BaseWorkload:
         autosave_every: int | None = None,
         autosave_dir: str | None = None,
         resume: bool = False,
-        fuse_waves: bool | None = None,
     ) -> TrainResult:
         b = self.bundle(
             method, pipemare, num_stages, seed, recompute_segment, runtime,
             overlap_boundary, granularity, partition, replicas,
             autosave_every=autosave_every, autosave_dir=autosave_dir,
-            fuse_waves=fuse_waves,
         )
         try:
             result = b.trainer.run(epochs, eval_every=eval_every, resume=resume)
@@ -258,8 +255,7 @@ class ImageWorkload(_BaseWorkload):
                seed=0, recompute_segment=None, runtime="simulator",
                overlap_boundary=None, granularity="layer",
                partition="even", replicas=1,
-               autosave_every=None, autosave_dir=None,
-               fuse_waves=None) -> WorkloadBundle:
+               autosave_every=None, autosave_dir=None) -> WorkloadBundle:
         check_replica_count(replicas, model_name=f"{self.name} ResNet")
         model = self.build_model(seed)
         loss = CrossEntropyLoss()
@@ -278,7 +274,6 @@ class ImageWorkload(_BaseWorkload):
             pipemare=pipemare, base_schedule=self.base_schedule(),
             recompute_segment=recompute_segment, overlap_boundary=overlap_boundary,
             granularity=granularity, partition_plan=plan, num_replicas=replicas,
-            fuse_waves=fuse_waves,
         )
 
         def batch_fn(rng):
@@ -423,8 +418,7 @@ class TranslationWorkload(_BaseWorkload):
                seed=0, recompute_segment=None, runtime="simulator",
                overlap_boundary=None, granularity="layer",
                partition="even", replicas=1,
-               autosave_every=None, autosave_dir=None,
-               fuse_waves=None) -> WorkloadBundle:
+               autosave_every=None, autosave_dir=None) -> WorkloadBundle:
         if runtime not in self.supported_runtimes():
             raise ValueError(
                 f"unknown runtime {runtime!r} for translation workloads "
@@ -457,7 +451,6 @@ class TranslationWorkload(_BaseWorkload):
         else:
             common["overlap_boundary"] = overlap_boundary
             common["granularity"] = granularity
-            common["fuse_waves"] = fuse_waves
             if runtime in ("process", "socket"):
                 common["backend"] = runtime
                 common["model_spec"] = self.model_spec(seed, len(stages), plan)

@@ -1,6 +1,6 @@
 """Per-worker slab arenas: steady-state allocation-free kernels.
 
-Profiling the concurrent runtime (``BENCH_runtime.json`` through PR 5)
+Profiling the concurrent runtime (the throughput bench through PR 5)
 showed the hot loop dominated not by compute but by allocator traffic:
 every wave allocates fresh activation, mask and gradient arrays whose
 sizes repeat exactly from step to step, and at the ~200 KB float64 sizes

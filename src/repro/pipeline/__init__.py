@@ -49,15 +49,15 @@ from repro.pipeline.registry import (
     WorkerLostError,
     WorkerRegistry,
 )
+from repro.pipeline.worker import PipelineDeadlockError
+from repro.pipeline.net import RemoteWeightMirror, SocketWorkerPool, Transport
 from repro.pipeline.runtime import (
     AsyncPipelineRuntime,
-    PipelineDeadlockError,
     ProcessWorkerPool,
     ReplicaGroup,
     RuntimeWedgedError,
     ThreadWorkerPool,
 )
-from repro.pipeline.net import RemoteWeightMirror, SocketWorkerPool, Transport
 from repro.pipeline.waveprogram import (
     WaveBlock,
     WaveCompileError,
@@ -83,24 +83,20 @@ def make_backend(runtime: str, *args, **kwargs):
     over TCP/UDS with a registry and typed failure handling).  All accept
     the :class:`PipelineExecutor` constructor arguments; the concurrent
     ones additionally accept the :class:`AsyncPipelineRuntime` tuning
-    knobs (``overlap_boundary``, ``deadlock_timeout``, and for
-    ``process``/``socket`` also ``model_spec``, ``start_method``, plus
-    ``transport_slot_bytes`` or ``net_options`` respectively).  The
-    simulator has no minibatch barrier to overlap and executes the model
-    monolithically, so ``overlap_boundary``, ``granularity``,
-    ``max_workers`` and ``fuse_waves`` are accepted and ignored there — callers can pass one
-    backend-agnostic kwargs dict.  ``num_replicas`` (hybrid data ×
+    knobs (``overlap_boundary``, ``deadlock_timeout``, ``done_grace``,
+    ``granularity``, ``max_workers``, ``inflight_steps``, and for
+    ``process``/``socket`` also ``model_spec`` and ``start_method``, for
+    ``socket`` ``net_options``).  The simulator has no minibatch barrier
+    to overlap and executes the model monolithically, so
+    ``overlap_boundary``, ``granularity`` and ``max_workers`` are accepted
+    and ignored there — callers can pass one backend-agnostic kwargs
+    dict.  ``num_replicas`` (hybrid data ×
     pipeline parallelism) is honoured by every backend except ``socket``:
     the simulator runs the R replicas sequentially with exact staleness,
     the thread/process runtimes run them as a :class:`ReplicaGroup` of
     worker pools."""
     if runtime == "simulator":
-        for concurrent_only in (
-            "overlap_boundary",
-            "granularity",
-            "max_workers",
-            "fuse_waves",
-        ):
+        for concurrent_only in ("overlap_boundary", "granularity", "max_workers"):
             kwargs.pop(concurrent_only, None)
         return PipelineExecutor(*args, **kwargs)
     if runtime == "async":

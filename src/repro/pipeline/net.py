@@ -26,11 +26,11 @@ Failure is a first-class state here, not an assertion: the pool keeps a
 RUNNING → LOST) fed by per-connection reader threads and heartbeats.  When
 a worker is lost the pool invalidates every step issued before the loss
 (``collect``/``await_losses`` fail fast instead of waiting out the
-deadlock timeout), and either respawns the *whole* worker set — the
-channel mesh is pairwise, so a lone fresh worker cannot rejoin — and
-republishes the resolvable weight window, or wedges with a typed
-:class:`~repro.pipeline.registry.WorkerLostError`.  Either way the runtime
-drains its in-flight window and restores the latest published weights, so
+deadlock timeout), and recovers along the cheapest path with budget left:
+replace the one lost worker in place (its mesh neighbours re-dial only the
+channels they shared with it), respawn the whole worker set, or wedge with
+a typed :class:`~repro.pipeline.registry.WorkerLostError`.  Either way the
+runtime drains its in-flight window and restores the latest published weights, so
 a killed worker costs one minibatch, never a silent divergence.
 
 Addresses are ``"uds:/path/sock"`` or ``"tcp:host:port"`` (``port`` 0
@@ -41,12 +41,14 @@ socket, which is exactly what the fault-injection suites need.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import pickle
 import queue
 import random
 import select
+import shutil
 import socket
 import struct
 import tempfile
@@ -56,28 +58,25 @@ import zlib
 
 import numpy as np
 
-# One-way dependency: runtime imports this module only lazily, inside the
-# socket-backend branch, so a top-level import here cannot cycle.
-from repro.pipeline import runtime as _runtime
 from repro.pipeline.registry import (
     Backoff,
     TaskState,
     WorkerLostError,
     WorkerRegistry,
 )
-from repro.pipeline.stage_compute import ModelSpec, build_worker_graph
+from repro.pipeline.stage_compute import ModelSpec
 from repro.pipeline.transport import (
     _DTYPE_CODE,
     _MAX_DIMS,
     _RING_DTYPES,
+    Channels,
     TransportClosed,
     TransportError,
     TransportTimeout,
     _layout_perm,
-    pack_lanes,
-    unpack_lanes,
 )
 from repro.pipeline.weight_store import check_version_resident
+from repro.pipeline.worker import _default_start_method, _WorkerPoolBase, reap, run_worker
 
 
 class FrameError(TransportError):
@@ -326,6 +325,7 @@ class Transport:
         self._send_lock = threading.Lock()
         self._closed = False
         self.xfer_seconds = 0.0
+        self._header_at = 0.0  # when the frame being received began arriving
 
     # -- raw framing -----------------------------------------------------------
     def _wait_io(self, read: bool, deadline: float | None, stalled) -> None:
@@ -402,6 +402,7 @@ class Transport:
         if self._closed:
             raise TransportClosed("endpoint is closed")
         header = self._recv_exact(_HDR.size, deadline)
+        self._header_at = time.perf_counter()
         magic, kind, length, crc = _HDR.unpack(header)
         if magic != _MAGIC:
             raise FrameError(f"bad frame magic 0x{magic:08x} — stream corrupt")
@@ -428,12 +429,14 @@ class Transport:
         self.xfer_seconds += time.perf_counter() - t0
 
     def recv_msg(self, timeout: float | None = None) -> tuple[int, object]:
-        t0 = time.perf_counter()
         kind, body = self.recv_frame(timeout)
         if kind != K_ARRAYS:
             raise FrameError(f"expected an ARRAYS frame, got kind {kind}")
         out = decode_arrays(body)
-        self.xfer_seconds += time.perf_counter() - t0
+        # Clocked from the frame header's arrival, not from the call: the
+        # wait for a quiet producer is bubble, not transport — the same
+        # rule as ShmRing, which starts timing after its slot wait.
+        self.xfer_seconds += time.perf_counter() - self._header_at
         return out
 
     def close(self) -> None:
@@ -447,77 +450,82 @@ class Transport:
         self._sock.close()
 
 
+
+
 # -- the two seams -------------------------------------------------------------
 
 
-class _SocketChannels:
+class _SocketChannels(Channels):
     """Socket-backend channel set: one framed connection per cross-worker
-    edge and payload kind — the drop-in sibling of ``_QueueChannels`` and
-    ``_RingChannels``.
+    edge and payload kind — the drop-in sibling of ``QueueChannels`` and
+    ``RingChannels``.  Streams copy on both ends (no shared slots to pin),
+    so the reserve/pin surface keeps the base class's no-ops.
 
-    Messages carry the driver's step-sequence tag; residue from an aborted
-    step is discarded on receive, exactly like the ring transport, so the
-    channels self-heal after an error with no flush handshake.  Streams
-    copy on both ends (no shared slots to pin), so the reserve/pin surface
-    degenerates to no-ops and ``can_reserve`` is False.
+    Connections are opened by :meth:`rewire`, which serves bring-up (every
+    channel of a fresh worker, nothing to close) and in-place replacement
+    of a mesh neighbour (only the channels shared with it) alike.
     """
 
-    can_reserve = False
-
-    def __init__(self, conns: dict[tuple[str, int], Transport], timeout: float):
-        self._conns = conns
-        self._timeout = timeout
-        self.step = 0
+    def __init__(
+        self, w: int, timeout: float, connect_timeout: float,
+        handshake_timeout: float, backoff: Backoff,
+    ):
+        super().__init__(timeout)
+        self._w = w
+        self._conns: dict[tuple[str, int], Transport] = {}
+        self._connect_timeout = connect_timeout
+        self._handshake_timeout = handshake_timeout
+        self._backoff = backoff
 
     def xfer_seconds(self) -> float:
         return sum(c.xfer_seconds for c in self._conns.values())
 
-    def recv(self, kind: str, edge: int):
-        conn = self._conns[(kind, edge)]
-        deadline = time.monotonic() + self._timeout
-        while True:
-            try:
-                tag, payload = conn.recv_msg(max(0.0, deadline - time.monotonic()))
-            except TransportTimeout:
-                raise TransportTimeout(
-                    f"waited >{self._timeout}s for a {kind} payload on edge "
-                    f"{edge} that never arrived"
-                ) from None
-            if tag != self.step:
-                continue  # stale message from an aborted step — discard
-            return payload
+    def _recv_tagged(self, kind: str, edge: int, timeout: float):
+        tag, payload = self._conns[(kind, edge)].recv_msg(timeout)
+        return tag, payload, None
 
     def send(self, kind: str, edge: int, payload) -> None:
         self._conns[(kind, edge)].send_msg(payload, self.step, self._timeout)
-
-    def reserve(self, kind: str, edge: int, shape, dtype):
-        return None
-
-    def begin_wave(self, j: int) -> None:
-        pass
-
-    def release_wave(self, j: int) -> None:
-        pass
-
-    def release_all(self) -> None:
-        pass
 
     def disconnect(self, kind: str, edge: int) -> None:
         """Sever one channel (fault injection / tests)."""
         self._conns[(kind, edge)].close()
 
-    def drop(self, key: tuple[str, int]) -> None:
-        """Remove and close one channel — its peer is being replaced, so
-        the dead connection must not linger in the set (a later ``recv``
-        on it would surface a confusing TransportClosed instead of using
-        the re-dialed socket)."""
-        conn = self._conns.pop(key, None)
-        if conn is not None:
-            conn.close()
-
-    def adopt(self, key: tuple[str, int], conn: Transport) -> None:
-        """Install the re-dialed connection for a dropped channel."""
-        self._conns[key] = conn
+    def rewire(self, spec: dict, recv, send) -> None:
+        """(Re)open the channels named in ``spec``: close the ones in
+        ``spec["close"]`` (they died with a replaced neighbour — a later
+        ``recv`` on one would surface a confusing TransportClosed instead of
+        using the re-dialed socket), bind a listener per ``spec["listen"]``
+        key (the *receiver* of a channel owns its listener), report the
+        bound addresses, wait for the driver's merged address map, then
+        dial ``spec["dial"]`` and accept the rest.  Every other connection
+        — control, weights, channels to unaffected neighbours — survives
+        untouched."""
+        listeners: dict[tuple[str, int], Listener] = {}
+        try:
+            for key in spec["close"]:
+                conn = self._conns.pop(key, None)
+                if conn is not None:
+                    conn.close()
+            for key, address in spec["listen"].items():
+                listeners[key] = Listener(address, backlog=2)
+            send(("bound", self._w, {key: l.address for key, l in listeners.items()}))
+            tag, addresses = recv(self._handshake_timeout)
+            if tag != "addresses":
+                raise FrameError(f"expected addresses, got {tag!r}")
+            # Dial first, accept second: every peer listener reported bound
+            # before the address broadcast, so dials complete against the
+            # backlog without waiting for the peer's accept — no ordering
+            # deadlock however the mesh is shaped.
+            for key in spec["dial"]:
+                self._conns[key] = connect(
+                    addresses[key], self._connect_timeout, self._backoff
+                )
+            for key, listener in listeners.items():
+                self._conns[key] = listener.accept(self._handshake_timeout)
+        finally:
+            for listener in listeners.values():
+                listener.close()
 
     def close(self) -> None:
         for conn in self._conns.values():
@@ -695,6 +703,7 @@ class RemoteWeightMirror:
         self._conn.close()
 
 
+
 # -- worker process ------------------------------------------------------------
 
 
@@ -703,7 +712,7 @@ def _channel_keys(edges, w: int):
     the worker graph's picklable edge spec ``(index, src_worker,
     dst_worker)``.  The *receiver* of a channel owns its listener:
     activations/recomputes flow src→dst, gradients dst→src — the socket
-    projection of ``_worker_rings``'s role assignment."""
+    projection of ``worker_rings``'s role assignment."""
     listen, dial = [], []
     for index, src_w, dst_w in edges:
         if dst_w == w:
@@ -715,26 +724,29 @@ def _channel_keys(edges, w: int):
     return listen, dial
 
 
+def _grads_for_report(compute, seq):
+    """Gradients ride the done report (no shared mailbox over a socket):
+    per-binding (stage, positions, arrays), disjoint across workers."""
+    return [
+        (b.stage, list(b.positions), [p.grad for p in b.params])
+        for b in compute.bindings
+    ]
+
+
 def _socket_worker_main(w: int, ctl_address: str, opts: dict) -> None:
     """Entry point of one socket stage worker.
 
     Only the bootstrap address crosses the process boundary; everything
-    else — the model spec (as wire bytes), resolver spec, channel
+    else — the model spec, resolver spec, channel
     topology, initial persistent state — arrives over the control socket,
     so the same entry point would serve a worker started on another host
-    by any launcher.  Phases: dial the driver (control + weight
-    connections), receive init, build the model slice, bind channel
-    listeners, report them, receive the full address map, dial send-side
-    channels then accept recv-side ones, report ready, serve step
-    commands until shutdown or EOF.
+    by any launcher.  Dials the driver twice (control + weight
+    connections), receives ``init``, and hands over to the shared worker
+    loop with the control connection as its command/report endpoint; the
+    channel mesh is opened by the same ``rewire`` handshake a replacement
+    uses, and heartbeats start once it stands.
     """
-    rt = _runtime
-    from repro.nn import arena as nn_arena
-    from repro.pipeline.delays import Method
-    from repro.pipeline.plan import WorkerPlanMirror
-
-    handshake = opts["handshake_timeout"]
-    timeout = opts["deadlock_timeout"]
+    handshake, timeout = opts["handshake_timeout"], opts["deadlock_timeout"]
     # Jitter desynchronizes the retry schedules of workers (re)connecting
     # after the same event — a whole generation dialing the driver, or every
     # mesh neighbor re-dialing one replacement — so attempts don't stampede
@@ -748,243 +760,55 @@ def _socket_worker_main(w: int, ctl_address: str, opts: dict) -> None:
         ctl.send_obj(("hello", w), handshake)
         wconn = connect(ctl_address, opts["connect_timeout"], backoff)
         wconn.send_obj(("weights", w), handshake)
+        tag, init = ctl.recv_obj(handshake)
+        if tag != "init":
+            raise FrameError(f"expected init, got {tag!r}")
     except TransportError:
         return  # driver gone before the handshake; nothing to report to
-    chans = None
-    mirror = None
-    listeners: dict[tuple[str, int], Listener] = {}
 
-    def report(seq, kind, busy=0.0, xfer=0.0, stall=0.0, payload=None):
-        ctl.send_obj(("done", (w, seq, kind, busy, xfer, stall, payload)), timeout)
+    def send(msg):
+        ctl.send_obj(msg, timeout)
 
-    try:
-        try:
-            tag, init = ctl.recv_obj(handshake)
-            if tag != "init":
-                raise FrameError(f"expected init, got {tag!r}")
-            k = init["k"]
-            n = init["num_microbatches"]
-            spec = init["resolver_spec"]
-            model, stages = ModelSpec.from_wire(init["model_wire"]).build()
-            names = [list(s.names) for s in stages]
-            if names != init["stage_names"]:
-                raise ValueError(
-                    f"worker {w}: model spec rebuilt a different partition "
-                    f"than the driver's (stage parameter names differ)"
-                )
-            graph = build_worker_graph(
-                model, stages,
-                granularity=init["granularity"], max_workers=init["max_workers"],
-            )
-            if graph.num_workers != k or graph.edge_spec() != init["edges"]:
-                raise ValueError(
-                    f"worker {w}: model spec rebuilt a different worker graph "
-                    f"than the driver's ({graph.num_workers} workers, edges "
-                    f"{graph.edge_spec()!r} vs {init['edges']!r})"
-                )
-            compute = graph.workers[w]
-            compute.enable_deferred()
-            mirror = RemoteWeightMirror(
-                wconn, init["stage_shapes"], spec.history, spec.use_t2
-            )
-            resolver = WorkerPlanMirror(spec, mirror)
-            is_sink_worker = w == k - 1
-            loss_fn = pickle.loads(init["loss_pickle"]) if is_sink_worker else None
-            for key, address in init["listen"].items():
-                listeners[key] = Listener(address, backlog=2)
-        except BaseException as exc:  # noqa: BLE001 — reported to driver
-            report(0, "init_error", payload=rt._picklable_exc(exc))
-            return
-        ctl.send_obj(
-            ("bound", w, {key: l.address for key, l in listeners.items()}), timeout
+    def open_transport(graph, stack):
+        spec = init["resolver_spec"]
+        mirror = RemoteWeightMirror(
+            wconn, init["stage_shapes"], spec.history, spec.use_t2
         )
-        try:
-            tag, addresses = ctl.recv_obj(handshake)
-            if tag != "addresses":
-                raise FrameError(f"expected addresses, got {tag!r}")
-            conns: dict[tuple[str, int], Transport] = {}
-            # Dial first, accept second: every peer listener reported bound
-            # before the address broadcast, so dials complete against the
-            # backlog without waiting for the peer's accept — no ordering
-            # deadlock however the mesh is shaped.
-            for key in init["dial"]:
-                conns[key] = connect(addresses[key], opts["connect_timeout"], backoff)
-            for key, listener in listeners.items():
-                conns[key] = listener.accept(handshake)
-                listener.close()
-            listeners.clear()
-            chans = rt._wrap_channels(_SocketChannels(conns, timeout), w)
-            # Compiled locally from the resolver mirror — identical
-            # arithmetic and deterministic graph ⇒ identical fused blocks
-            # to every other backend's, and no compiled program on the wire.
-            programs = rt._build_wave_programs(
-                Method(spec.method), resolver, graph, n,
-                spec.recompute_segment is not None, init["fuse_waves"],
-            )
-            has_pstate = compute.has_persistent_state()
-            if init["pstate"] is not None:
-                compute.load_persistent_state(init["pstate"])
-            arena_obj = nn_arena.Arena()
-            nn_arena.set_current(arena_obj)
-        except BaseException as exc:  # noqa: BLE001 — reported to driver
-            report(0, "init_error", payload=rt._picklable_exc(exc))
-            return
-        report(0, "ready")
-
+        chans = _SocketChannels(w, timeout, opts["connect_timeout"], handshake, backoff)
+        stack.callback(chans.close)
+        chans.rewire(init["rewire"], ctl.recv_obj, send)
         stop_beats = threading.Event()
+        stack.callback(stop_beats.set)
 
         def _heartbeat():
             while not stop_beats.wait(opts["heartbeat_interval"]):
                 try:
-                    ctl.send_obj(("hb", w), timeout)
+                    send(("hb", w))
                 except TransportError:
                     return
 
         threading.Thread(
             target=_heartbeat, name=f"pipe-sock-hb-{w}", daemon=True
         ).start()
+        return mirror, chans, _grads_for_report
 
-        while True:
-            try:
-                msg = ctl.recv_obj(None)
-            except TransportClosed:
-                break  # driver is gone; exit quietly
-            if msg[0] == "shutdown":
-                break
-            if msg[0] == "pstate":
-                compute.load_persistent_state(msg[1])
-                continue
-            if msg[0] == "resync":
-                # Checkpoint restore: fence on the republished window so a
-                # stale (higher) latest can never satisfy a gate against
-                # the restored timeline.
-                mirror.await_reset(msg[1], timeout)
-                continue
-            if msg[0] == "fence":
-                # Quiesce ping after a per-worker replacement.  FIFO on the
-                # control channel means reaching this message proves every
-                # step command queued before it has fully run (or aborted)
-                # — this worker can no longer be blocked on a stale-tagged
-                # recv that would swallow the retried step's payloads.
-                ctl.send_obj(("fenced", w, msg[1]), timeout)
-                continue
-            if msg[0] == "rewire":
-                # A mesh neighbor was replaced inside this generation:
-                # drop the channels that died with it, rebind fresh
-                # listeners for the keys this worker owns (the receiver
-                # listens, same role assignment as bring-up), report the
-                # new addresses, then dial-then-accept against the merged
-                # map exactly like the original handshake.  Every other
-                # connection — control, weights, channels to unaffected
-                # neighbors — survives untouched.  Failure is fatal for
-                # this worker; the driver falls back to a generation
-                # respawn.
-                spec = msg[1]
-                new_listeners: dict[tuple[str, int], Listener] = {}
-                try:
-                    for key in spec["close"]:
-                        chans.drop(key)
-                    for key, address in spec["listen"].items():
-                        new_listeners[key] = Listener(address, backlog=2)
-                    ctl.send_obj(
-                        (
-                            "rewire_bound",
-                            w,
-                            {key: l.address for key, l in new_listeners.items()},
-                        ),
-                        timeout,
-                    )
-                    tag, addresses = ctl.recv_obj(handshake)
-                    if tag != "rewire_addresses":
-                        raise FrameError(
-                            f"expected rewire_addresses, got {tag!r}"
-                        )
-                    for key in spec["dial"]:
-                        chans.adopt(
-                            key,
-                            connect(
-                                addresses[key], opts["connect_timeout"], backoff
-                            ),
-                        )
-                    for key, listener in new_listeners.items():
-                        chans.adopt(key, listener.accept(handshake))
-                except BaseException as exc:  # noqa: BLE001 — reported
-                    try:
-                        report(0, "init_error", payload=rt._picklable_exc(exc))
-                    except TransportError:
-                        pass
-                    break
-                finally:
-                    for listener in new_listeners.values():
-                        listener.close()
-                continue
-            step_seq, t, sync, scales, ext, ys = msg[1]
-            resolver.t = t
-            chans.step = step_seq
-            losses = [0.0] * n
-            busy = stall = 0.0
-            kind, payload = "ok", None
-            xfer0 = chans.xfer_seconds()
-            arena_obj.begin_program(step_seq)
-            if is_sink_worker:
-                def on_losses(_seq=step_seq, _losses=losses):
-                    report(_seq, "losses", payload=list(_losses))
-            else:
-                on_losses = None
-            try:
-                for b in compute.bindings:
-                    for p in b.params:
-                        p.grad.fill(0.0)
-                compute.zero_deferred()
-                busy, stall, lanes = rt._execute_program(
-                    compute, programs[bool(sync)][w], resolver, t, sync, chans,
-                    loss_fn, ext, ys, scales, losses, timeout, on_losses,
-                )
-                # Gradients ride the done report (no shared mailbox over a
-                # socket): per-binding (stage, positions, arrays), disjoint
-                # across workers, folded driver-side in worker order.  One
-                # done frame per step carries the whole block's lanes — the
-                # coarsened report; frames-per-step on the wire is
-                # unchanged by block count.
-                grads = [
-                    (b.stage, list(b.positions), [p.grad for p in b.params])
-                    for b in compute.bindings
-                ]
-                payload = (
-                    losses if is_sink_worker else None,
-                    compute.persistent_state() if has_pstate else None,
-                    grads,
-                    pack_lanes(lanes),
-                )
-            except TransportTimeout as exc:
-                kind, payload = "deadlock", str(exc)
-            except BaseException as exc:  # noqa: BLE001 — relayed to driver
-                kind, payload = "error", rt._picklable_exc(exc)
-            finally:
-                chans.release_all()
-            try:
-                report(
-                    step_seq, kind, busy, chans.xfer_seconds() - xfer0, stall, payload
-                )
-            except TransportError:
-                break  # driver is gone mid-report
-        stop_beats.set()
-    except TransportError:
-        pass  # driver-side teardown raced the serve loop
+    try:
+        run_worker(w, init, ctl.recv_obj, send, open_transport)
     finally:
-        for listener in listeners.values():
-            listener.close()
-        if chans is not None:
-            chans.close()
-        if mirror is not None:
-            mirror.close()
+        wconn.close()
         ctl.close()
 
 
 # -- driver-side pool ----------------------------------------------------------
 
 
-class SocketWorkerPool(_runtime._WorkerPoolBase):
+def _drain(q) -> None:
+    with contextlib.suppress(queue.Empty):
+        while True:
+            q.get_nowait()
+
+
+class SocketWorkerPool(_WorkerPoolBase):
     """Per-stage workers over framed sockets, behind the unchanged
     issue/collect scheduler surface — ``AsyncPipelineRuntime`` drives it
     exactly like the thread and process pools, so the same ``StepPlan``
@@ -997,11 +821,12 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
     a typed :class:`WorkerLostError` instead of a generic deadlock.  On
     loss the pool invalidates all steps issued before the event
     (``_dead_before`` — their collects fail fast rather than waiting out
-    the deadlock timeout) and, if ``max_restarts`` allows, tears the whole
-    worker set down and respawns it: fresh handshake, republished
-    resolvable weight window, driver-side persistent state seeded through
-    init.  The runtime's normal error path then restores the latest
-    published weights, so the failed minibatch is simply retried.
+    the deadlock timeout) and recovers along the cheapest path with budget
+    left (:meth:`_handle_loss`): replace the one lost worker in place, or
+    tear the whole worker set down and respawn it.  Both run the same
+    handshake (:meth:`_start_workers`) — bring-up is "replace every slot,
+    no survivors".  The runtime's normal error path then restores the
+    latest published weights, so the failed minibatch is simply retried.
 
     ``family="uds"`` (default) runs over Unix-domain sockets in a private
     tmpdir; ``family="tcp"`` binds loopback TCP with ephemeral ports — the
@@ -1019,7 +844,6 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         stages,
         loss_fn,
         model_spec: ModelSpec,
-        num_microbatches: int,
         deadlock_timeout: float,
         done_grace: float,
         granularity: str = "layer",
@@ -1035,7 +859,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         max_worker_restarts: int = 0,
         fuse_waves: bool = True,
     ):
-        super().__init__(graph.num_workers, deadlock_timeout, done_grace)
+        super().__init__(graph, plan, deadlock_timeout, done_grace)
         if family not in ("uds", "tcp"):
             raise ValueError(f"family must be 'uds' or 'tcp', got {family!r}")
         # Fail loudly on a misconfigured net_options dict: a negative
@@ -1066,40 +890,36 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                 raise ValueError(
                     f"net_options[{key!r}] must be >= 0, got {value!r}"
                 )
-        self.graph = graph
-        self.driver_workers = graph.workers
-        self.plan = plan
-        self.stages = stages
-        self._loss_pickle = pickle.dumps(loss_fn)
-        self._model_wire = model_spec.to_wire()
-        self._num_microbatches = num_microbatches
-        self._granularity = granularity
-        self._max_workers = max_workers
-        self.fuse_waves = fuse_waves
+        self._describe_workers(
+            stages, loss_fn, model_spec, granularity, max_workers, fuse_waves
+        )
         self._start_method = start_method
         self._family = family
         self._host = host
-        self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = (
             heartbeat_timeout
             if heartbeat_timeout is not None
             else max(10 * heartbeat_interval, 5.0)
         )
-        self._connect_timeout = connect_timeout
         self._handshake_timeout = handshake_timeout
         self._send_timeout = deadlock_timeout + done_grace
+        self._worker_opts = {
+            "connect_timeout": connect_timeout,
+            "handshake_timeout": handshake_timeout,
+            "heartbeat_interval": heartbeat_interval,
+            "deadlock_timeout": deadlock_timeout,
+        }
         self.max_restarts = max_restarts
         self._restarts_left = max_restarts
         self.max_worker_restarts = max_worker_restarts
         self._worker_restarts_left = max_worker_restarts
         self._generation = 0
-        self._rewires = 0  # per-worker replacements (names fresh uds paths)
-        # Survivors' ("rewire_bound", w, addrs) replies arrive on control
+        self._handshakes = 0  # names fresh uds paths; the quiesce token
+        # ("bound", w, addrs) replies of survivors re-opening channels and
+        # ("fenced", w, token) replies to the quiesce ping arrive on control
         # connections owned by reader threads; they are routed here for the
-        # driver thread running the replacement handshake.
+        # driver thread running the handshake.
         self._rewire_q: queue.SimpleQueue = queue.SimpleQueue()
-        # ("fenced", w, token) replies to the post-replacement quiesce ping
-        # (see _await_quiesce), routed the same way.
         self._fence_q: queue.SimpleQueue = queue.SimpleQueue()
         # Steps issued at or before this sequence died with a lost worker:
         # their collects fail fast with WorkerLostError instead of waiting
@@ -1108,15 +928,11 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         self._lost_worker: int | None = None
         self._done: queue.SimpleQueue = queue.SimpleQueue()
         self._dir = tempfile.mkdtemp(prefix="pmnet-") if family == "uds" else None
-        self.registry = WorkerRegistry(graph.num_workers, self._heartbeat_timeout)
-        self._ctls: list[Transport] = []
-        self._weight_conns: list[Transport] = []
-        self._procs: list = []
-        self._ext_needs = [graph.ext_needs(w) for w in range(graph.num_workers)]
-        self._stage_shapes = [[tuple(p.shape) for p in s.params] for s in stages]
-        self._edges = graph.edge_spec()
+        self.registry = WorkerRegistry(self.num_workers, self._heartbeat_timeout)
+        self._ctls: list[Transport | None] = []
+        self._weight_conns: list[Transport | None] = []
         # Channels exist only for cross-worker edges (local and external
-        # edges never touch a transport), same set _worker_rings covers.
+        # edges never touch a transport), same set worker_rings covers.
         self._cross = [
             (e.index, e.src_worker, e.dst.worker) for e in graph.cross_edges()
         ]
@@ -1129,135 +945,169 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
     def _get_done(self, timeout: float):
         return self._done.get(timeout=timeout)
 
-    # -- topology --------------------------------------------------------------
+    def _send(self, w: int, cmd: tuple) -> None:
+        self._ctls[w].send_obj(cmd, self._send_timeout)
+
+    # -- bring-up and replacement ----------------------------------------------
     def _address(self, name: str) -> str:
         if self._family == "uds":
             return f"uds:{self._dir}/{name}"
         return f"tcp:{self._host}:0"
 
     def _spawn_workers(self) -> None:
-        """Launch and handshake a complete worker set (initial bring-up and
-        every respawn): accept control + weight connections, ship init
-        (model spec over the wire), gather bound channel listeners,
-        broadcast the address map, await ready, publish the resolvable
-        weight window."""
+        """Bring up a complete worker generation (construction and every
+        generation respawn): fresh registry, every slot started, the whole
+        resolvable weight window published."""
         k = self.num_workers
-        gen = self._generation
         self._generation += 1
         self.registry = WorkerRegistry(k, self._heartbeat_timeout)
-        registry = self.registry
-        listener = Listener(self._address(f"ctl{gen}"), backlog=2 * k)
-        opts = {
-            "connect_timeout": self._connect_timeout,
-            "handshake_timeout": self._handshake_timeout,
-            "heartbeat_interval": self._heartbeat_interval,
-            "deadlock_timeout": self.deadlock_timeout,
-        }
-        ctx = multiprocessing.get_context(
-            self._start_method or _runtime._default_start_method()
-        )
+        self._procs = [None] * k
+        self._ctls = [None] * k
+        self._weight_conns = [None] * k
+        self._start_workers(range(k))
+
+    def _start_workers(self, slots) -> None:
+        """Start and handshake the workers in ``slots`` — every slot for a
+        generation, the one lost slot for an in-place replacement.  Workers
+        outside ``slots`` are survivors: they keep their processes, control
+        and weight connections and mirror windows, and only re-open the
+        channels they share with a started slot.
+
+        1. launch the processes; accept their control (``hello``) and
+           weight (``weights``) dial-backs on a fresh bootstrap listener;
+        2. send each started worker ``init`` (driver's current persistent
+           state, fresh channel addresses) and each affected survivor
+           ``rewire`` — both carry the same channel spec, and both answer
+           ``bound`` once their listeners stand (survivors from their serve
+           loops, so one still aborting the failed step joins as soon as it
+           has reported it);
+        3. merge the bound addresses and broadcast the map — every listener
+           is bound before anyone dials, which makes the mesh handshake
+           deadlock-free;
+        4. await ``ready`` from the started workers, publish the resolvable
+           weight window to their (empty) mirrors alone, and reseed the
+           survivors' persistent state from the driver copies (which hold
+           only collected-step state) so a retried minibatch replays the
+           exact trajectory.
+
+        Any failure raises; the caller falls back to a generation respawn
+        or wedges."""
+        slots = list(slots)
+        k = self.num_workers
+        self._handshakes += 1
+        name = f"{self._generation}h{self._handshakes}"
+        ctx = multiprocessing.get_context(self._start_method or _default_start_method())
+        listener = Listener(self._address(f"ctl{name}"), backlog=2 * len(slots))
         try:
-            for w in range(k):
+            for w in slots:
                 proc = ctx.Process(
                     target=_socket_worker_main,
-                    args=(w, listener.address, opts),
-                    name=f"pipe-sock-{gen}-{w}",
+                    args=(w, listener.address, self._worker_opts),
+                    name=f"pipe-sock-{name}-{w}",
                     daemon=True,
                 )
                 proc.start()
-                self._procs.append(proc)
-            ctls: list[Transport | None] = [None] * k
-            wconns: list[Transport | None] = [None] * k
-            # Visible to _teardown_workers from the first accept: if the
-            # handshake dies partway (worker death, timeout, garbage),
-            # close() must reach the connections already accepted, not
-            # just a fully-assembled set.
-            self._ctls = ctls
-            self._weight_conns = wconns
+                self._procs[w] = proc
             deadline = time.monotonic() + self._handshake_timeout
-            pending = 2 * k
-            while pending:
-                try:
-                    conn = listener.accept(0.2)
-                except TransportTimeout:
-                    dead = self._proc_failure()
-                    if dead is not None:
-                        raise WorkerLostError(
-                            f"socket worker failed to start: {dead}"
-                        ) from None
-                    if time.monotonic() > deadline:
-                        raise TransportTimeout(
-                            f"worker handshake incomplete after "
-                            f"{self._handshake_timeout:g}s"
-                        ) from None
-                    continue
+            for _ in range(2 * len(slots)):
+                conn = self._poll(
+                    listener.accept, deadline,
+                    TransportTimeout(
+                        f"worker handshake incomplete after "
+                        f"{self._handshake_timeout:g}s"
+                    ),
+                )
+                # Straight into its slot, so a handshake dying partway
+                # (worker death, timeout, garbage) leaves every accepted
+                # connection where _teardown_workers will find it.
                 try:
                     tag, w = conn.recv_obj(self._handshake_timeout)
-                    if tag == "hello":
-                        ctls[w] = conn
-                    elif tag == "weights":
-                        wconns[w] = conn
-                    else:
-                        raise FrameError(f"unexpected handshake frame {tag!r}")
+                    held = {"hello": self._ctls, "weights": self._weight_conns}.get(tag)
+                    if held is None or w not in slots or held[w] is not None:
+                        raise FrameError(
+                            f"unexpected handshake frame {tag!r} from worker {w!r}"
+                        )
+                    held[w] = conn
                 except BaseException:
                     conn.close()  # not in any slot yet; nobody else can
                     raise
-                pending -= 1
-            for w in range(k):
-                listen, dial = _channel_keys(self._cross, w)
-                init = {
-                    "k": k,
-                    "num_microbatches": self._num_microbatches,
-                    "stage_shapes": self._stage_shapes,
-                    "stage_names": [list(s.names) for s in self.stages],
-                    "edges": self._edges,
-                    "resolver_spec": self.plan.resolver_spec(),
-                    "model_wire": self._model_wire,
-                    "granularity": self._granularity,
-                    "max_workers": self._max_workers,
-                    "fuse_waves": self.fuse_waves,
-                    "loss_pickle": self._loss_pickle if w == k - 1 else b"",
-                    "listen": {
-                        key: self._address(f"c{gen}_{key[0]}{key[1]}")
-                        for key in listen
-                    },
-                    "dial": dial,
-                    "pstate": (
-                        self.driver_workers[w].persistent_state()
-                        if self.driver_workers[w].has_persistent_state()
-                        else None
-                    ),
-                }
-                ctls[w].send_obj(("init", init), self._handshake_timeout)
-            addresses: dict[tuple[str, int], str] = {}
-            for w in range(k):
-                msg = ctls[w].recv_obj(self._handshake_timeout)
-                if msg[0] == "done" and msg[1][2] == "init_error":
-                    raise msg[1][6]
-                if msg[0] != "bound":
-                    raise FrameError(f"expected bound from worker {w}, got {msg[0]!r}")
-                addresses.update(msg[2])
-            for w in range(k):
-                ctls[w].send_obj(("addresses", addresses), self._handshake_timeout)
-            for w in range(k):
-                threading.Thread(
-                    target=self._reader,
-                    args=(w, ctls[w], registry),
-                    name=f"pipe-sock-reader-{gen}-{w}",
-                    daemon=True,
-                ).start()
-            self._await_ready(k)
-            self._publish_window()
         finally:
             listener.close()
 
+        # Each started worker opens every channel it sits on; a survivor
+        # re-opens exactly the ones it shares with a started worker.
+        specs: dict[int, dict] = {}
+        for u in range(k):
+            mine = [
+                e for e in self._cross
+                if u in e[1:] and (e[1] in slots or e[2] in slots)
+            ]
+            if u in slots or mine:
+                listen, dial = _channel_keys(mine, u)
+                specs[u] = {
+                    "close": [] if u in slots else sorted(listen + dial),
+                    "listen": {
+                        key: self._address(f"c{name}_{key[0]}{key[1]}")
+                        for key in listen
+                    },
+                    "dial": dial,
+                }
+        survivors = [u for u in specs if u not in slots]
+        for u, spec in specs.items():
+            if u in slots:
+                self._ctls[u].send_obj(
+                    ("init", self._worker_init(u, rewire=spec)), self._handshake_timeout
+                )
+            else:
+                self._send(u, ("rewire", spec))
+
+        # A survivor blocked mid-aborted-step only answers after that
+        # step's deadline, so with survivors the wait window covers step
+        # deadline + handshake.
+        window = self._handshake_timeout + (self._send_timeout if survivors else 0.0)
+        addresses: dict[tuple[str, int], str] = {}
+        for w in slots:  # no reader thread yet: their reply is read directly
+            msg = self._ctls[w].recv_obj(window)
+            if msg[0] == "done" and msg[1][2] == "init_error":
+                raise msg[1][6]
+            if msg[0] != "bound":
+                raise FrameError(f"expected bound from worker {w}, got {msg[0]!r}")
+            addresses.update(msg[2])
+        deadline = time.monotonic() + window
+        for _ in survivors:
+            msg = self._poll(
+                lambda t: self._rewire_q.get(timeout=t), deadline,
+                TransportTimeout("survivors did not rebind their channels in time"),
+            )
+            addresses.update(msg[2])
+        for u in specs:
+            self._send(u, ("addresses", addresses))
+        for w in slots:
+            threading.Thread(
+                target=self._reader,
+                args=(w, self._ctls[w], self.registry),
+                name=f"pipe-sock-reader-{name}-{w}",
+                daemon=True,
+            ).start()
+        self._await_ready(slots, window)
+        self._publish_window(workers=slots)
+        for u in range(k):
+            if u not in slots:
+                self._push_pstate(u)
+
+    def _await_ready(self, workers, timeout: float) -> None:
+        super()._await_ready(workers, timeout)
+        for w in workers:
+            self.registry.transition(w, TaskState.READY)
+
     def _reader(self, w: int, conn: Transport, registry: WorkerRegistry) -> None:
-        """Drain worker ``w``'s control connection for the lifetime of one
-        worker generation: done reports and early losses go to the done
-        queue, heartbeats refresh the registry, EOF/corruption marks the
-        worker LOST.  The registry is captured, not read off self: after a
-        respawn a straggling reader can only mutate its own generation's
-        (discarded) records."""
+        """Drain worker ``w``'s control connection for the lifetime of that
+        connection: done reports and early losses go to the done queue,
+        heartbeats refresh the registry, handshake replies are routed to
+        the driver thread, EOF/corruption marks the worker LOST.  The
+        registry is captured, not read off self: after a respawn a
+        straggling reader can only mutate its own generation's (discarded)
+        records."""
         while True:
             try:
                 msg = conn.recv_obj(None)
@@ -1274,15 +1124,11 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
             registry.beat(w)
             if msg[0] == "hb":
                 continue
-            if msg[0] == "rewire_bound":
-                # Survivor's reply in the replacement handshake; the driver
-                # thread inside _replace_worker is waiting on it.
+            if msg[0] == "bound":
                 self._rewire_q.put(msg)
-                continue
-            if msg[0] == "fenced":
+            elif msg[0] == "fenced":
                 self._fence_q.put(msg)
-                continue
-            if msg[0] == "done":
+            elif msg[0] == "done":
                 report = msg[1]
                 if report[2] in ("ok", "error", "deadlock"):
                     try:
@@ -1290,85 +1136,45 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                     except RuntimeError:
                         pass  # racing a LOST mark; LOST wins
                 self._done.put(report)
-                continue
-            registry.mark_lost(w, f"worker {w} spoke garbage ({msg[0]!r})")
-            return
-
-    def _await_ready(self, k: int) -> None:
-        ready = 0
-        deadline = time.monotonic() + self._handshake_timeout
-        while ready < k:
-            try:
-                w, _, kind, _, _, _, payload = self._done.get(timeout=0.2)
-            except queue.Empty:
-                dead = self._peer_failure()
-                if dead is not None:
-                    raise WorkerLostError(
-                        f"socket worker failed to start: {dead}"
-                    ) from None
-                if time.monotonic() > deadline:
-                    raise TransportTimeout(
-                        "socket workers did not come up in time"
-                    ) from None
-                continue
-            if kind == "init_error":
-                raise payload
-            if kind == "ready":
-                self.registry.transition(w, TaskState.READY)
-                ready += 1
+            else:
+                registry.mark_lost(w, f"worker {w} spoke garbage ({msg[0]!r})")
+                return
 
     # -- failure detection -----------------------------------------------------
-    def _proc_failure(self) -> str | None:
-        # _teardown_workers empties the list, so it always holds exactly the
-        # current generation's processes, in worker order.
-        for w, proc in enumerate(self._procs):
-            if not proc.is_alive() and proc.exitcode != 0:
-                self.registry.mark_lost(
-                    w, f"worker process {proc.name} died with exit code "
-                    f"{proc.exitcode}"
-                )
+    def _peer_failure(self) -> str | None:
+        # A slot being replaced is judged by its process alone: the registry
+        # ignores LOST marks for it while the handshake is in progress.
+        for w, why in self._dead_procs():
+            if self.registry[w].state is TaskState.REPLACING:
+                self._lost_worker = w
+                return f"replacement for worker {w} died mid-handshake: {why}"
+            self.registry.mark_lost(w, why)
         rec = self.registry.first_lost()
         if rec is None:
             return None
         self._lost_worker = rec.worker
         return f"pipeline worker {rec.worker} was lost: {rec.reason}"
 
-    def _peer_failure(self) -> str | None:
-        return self._proc_failure()
-
     def _peer_error(self, dead: str) -> BaseException:
         return WorkerLostError(dead, worker=self._lost_worker)
 
+    def _unreachable(self, w: int, where: str, exc: BaseException) -> WorkerLostError:
+        self.registry.mark_lost(w, f"unreachable at {where} ({exc})")
+        return WorkerLostError(f"pipeline worker {w} is gone ({exc})", worker=w)
+
     # -- scheduler surface -----------------------------------------------------
     def issue(self, t, sync, ext, ys, scales, num_microbatches) -> int:
-        k = self.num_workers
         self._seq += 1
         self._issued.append(self._seq)
-        for w, conn in enumerate(self._ctls):
+        for w in range(len(self._ctls)):
             try:
-                conn.send_obj(
-                    (
-                        "step",
-                        (
-                            self._seq,
-                            t,
-                            sync,
-                            scales,
-                            {i: ext[i] for i in self._ext_needs[w]},
-                            ys if w == k - 1 else None,
-                        ),
-                    ),
-                    self._send_timeout,
-                )
+                self._send(w, self._step_command(w, t, sync, ext, ys, scales))
             except TransportError as exc:
                 # The worker died between steps.  Nobody will ever collect
                 # this sequence (the runtime has not recorded it yet), so
                 # withdraw it before handling the loss.
-                self.registry.mark_lost(w, f"unreachable at issue ({exc})")
+                err = self._unreachable(w, "issue", exc)
                 self._issued.pop()
-                err = WorkerLostError(
-                    f"pipeline worker {w} is gone ({exc})", worker=w
-                )
                 self._handle_loss()
                 raise err from None
             try:
@@ -1378,9 +1184,8 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         return self._seq
 
     def collect(self):
-        k = self.num_workers
-        seq = self._issued.popleft()
-        if seq <= self._dead_before:
+        if self._issued[0] <= self._dead_before:
+            seq = self._issued.popleft()
             raise WorkerLostError(
                 f"step {seq} was in flight when a worker was lost; its "
                 f"results are gone (weights were restored to the latest "
@@ -1388,7 +1193,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
                 worker=self._lost_worker,
             )
         try:
-            busys, xfers, stalls, extras = self._collect(seq)
+            return super().collect()
         except (WorkerLostError, TransportClosed) as exc:
             err = (
                 exc
@@ -1397,28 +1202,6 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
             )
             self._handle_loss()
             raise err from exc
-        losses, _, _, _ = extras[k - 1]
-        for w in sorted(extras):
-            _, pstate, grads, _ = extras[w]
-            if pstate is not None:
-                self.driver_workers[w].load_persistent_state(pstate)
-            # Each worker owns disjoint (stage, position) coordinates, so
-            # the fold order cannot matter; sorted for determinism anyway.
-            for s, positions, arrays in grads:
-                params = self.stages[s].params
-                for pos, arr in zip(positions, arrays):
-                    params[pos].grad[...] = arr
-        lanes = [unpack_lanes(extras[w][3]) for w in range(k)]
-        blocks = sum(len(lane) for lane in lanes)
-        return _runtime._StepResult(
-            losses=list(losses),
-            busy=busys,
-            transport=xfers,
-            stall=stalls,
-            commands=blocks,
-            reports=blocks,
-            lanes=lanes,
-        )
 
     def await_losses(self, seq: int):
         if seq <= self._dead_before:
@@ -1429,18 +1212,7 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         # Velocity first, version last: in-order frame delivery makes the
         # version frame the release operation, same as the shared mirror's
         # header bump.
-        if self.plan.corrector is not None:
-            self._broadcast_weights(
-                K_VELOCITY, encode_arrays(_flatten(self.plan.corrector.velocity), -1)
-            )
-        store = self.plan.store
-        v = store.latest_version
-        self._broadcast_weights(
-            K_WEIGHTS,
-            encode_arrays(
-                _flatten([store.weights(s, v) for s in range(store.num_stages)]), v
-            ),
-        )
+        self._publish_versions([self.plan.store.latest_version])
 
     def full_resync(self) -> None:
         """Checkpoint restore: clear every remote window, republish the
@@ -1451,41 +1223,39 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         self._broadcast_weights(K_RESET, b"")
         self._publish_window()
         v = self.plan.store.latest_version
-        for w, (conn, compute) in enumerate(zip(self._ctls, self.driver_workers)):
+        for w in range(len(self._ctls)):
             try:
-                conn.send_obj(("resync", v), self._send_timeout)
-                if compute.has_persistent_state():
-                    conn.send_obj(
-                        ("pstate", compute.persistent_state()), self._send_timeout
-                    )
+                self._send(w, ("resync", v))
+                self._push_pstate(w)
             except TransportError as exc:
-                self.registry.mark_lost(w, f"unreachable at resync ({exc})")
                 self.wedged = True
-                raise WorkerLostError(
-                    f"pipeline worker {w} is gone ({exc})", worker=w
-                ) from None
+                raise self._unreachable(w, "resync", exc) from None
 
     def _publish_window(self, workers=None) -> None:
-        """Publish every resolvable resident version — to all workers on
-        bring-up/respawn, or (``workers=...``) to just a replacement whose
-        fresh mirror starts empty while survivors keep their windows."""
+        """Publish every resolvable resident version — to all workers on a
+        checkpoint restore, or (``workers=...``) to just the started ones
+        whose fresh mirrors are empty while survivors keep their windows."""
         plan = self.plan
+        resident = set(plan.store.resident_versions(0))
+        self._publish_versions(
+            sorted(set(plan.resolvable_versions()) & resident), workers
+        )
+
+    def _publish_versions(self, versions, workers=None) -> None:
+        plan, store = self.plan, self.plan.store
         if plan.corrector is not None:
             self._broadcast_weights(
                 K_VELOCITY,
                 encode_arrays(_flatten(plan.corrector.velocity), -1),
-                workers=workers,
+                workers,
             )
-        store = plan.store
-        resident = set(store.resident_versions(0))
-        for v in sorted(set(plan.resolvable_versions()) & resident):
+        for v in versions:
             self._broadcast_weights(
                 K_WEIGHTS,
                 encode_arrays(
-                    _flatten([store.weights(s, v) for s in range(store.num_stages)]),
-                    v,
+                    _flatten([store.weights(s, v) for s in range(store.num_stages)]), v
                 ),
-                workers=workers,
+                workers,
             )
 
     def _broadcast_weights(self, kind: int, body: bytes, workers=None) -> None:
@@ -1495,31 +1265,22 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
             try:
                 conn.send_frame(kind, body, self._send_timeout)
             except TransportError as exc:
-                self.registry.mark_lost(w, f"unreachable at publish ({exc})")
                 self.wedged = True
-                raise WorkerLostError(
-                    f"pipeline worker {w} is gone ({exc})", worker=w
-                ) from None
+                raise self._unreachable(w, "publish", exc) from None
 
     # -- loss handling ---------------------------------------------------------
     def _drain_residue(self) -> None:
         self._buffered.clear()
         self._early_losses.clear()
-        while True:
-            try:
-                self._done.get_nowait()
-            except queue.Empty:
-                break
+        _drain(self._done)
 
     def _handle_loss(self) -> None:
         """A worker is LOST.  Invalidate everything issued before now, then
         recover along the cheapest path that still has budget:
 
         1. *Per-worker replacement* (``max_worker_restarts``): exactly one
-           worker is lost — respawn just that slot inside the current
-           generation.  Survivors keep their processes, control/weight
-           connections and mirror windows; only the channels adjacent to
-           the dead worker are re-dialed (see :meth:`_replace_worker`).
+           worker is lost — restart just that slot inside the current
+           generation (see :meth:`_replace_worker`).
         2. *Generation respawn* (``max_restarts``): connections,
            processes, registry and remote weight windows are replaced
            wholesale — the fallback when several workers died at once or
@@ -1567,242 +1328,22 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
             self.wedged = True
 
     def _replace_worker(self, w: int) -> None:
-        """Respawn slot ``w`` inside the current generation.
-
-        Protocol (driver thread; survivors answer from their serve loops,
-        so a survivor still aborting the failed step joins as soon as it
-        has reported it):
-
-        1. retire the old slot: null the conn slots (so the straggling
-           reader cannot poison the new record), close them, reap the
-           process, move the registry LOST → REPLACING;
-        2. bootstrap the replacement exactly like bring-up — fresh
-           listener, hello/weights dial-back, init with the driver's
-           current persistent state and *fresh* channel addresses;
-        3. tell every mesh neighbor to ``rewire``: drop the channels that
-           died with ``w``, rebind fresh listeners for the keys it owns,
-           reply ``rewire_bound`` (routed here via ``_rewire_q``);
-        4. merge the replacement's ``bound`` with the survivors' replies
-           and broadcast the address map to all affected workers — every
-           listener is bound before anyone dials, the same ordering that
-           makes bring-up deadlock-free;
-        5. await the replacement's ``ready``, publish the resolvable
-           weight window to *its* mirror only, reseed survivors'
-           persistent state, move the registry REPLACING → READY.
-
-        Any failure raises; the caller falls back to a generation respawn
-        (or wedges)."""
-        registry = self.registry
-        old_ctl, old_wconn = self._ctls[w], self._weight_conns[w]
-        self._ctls[w] = None
-        self._weight_conns[w] = None
-        for conn in (old_ctl, old_wconn):
+        """Restart slot ``w`` inside the current generation: retire the old
+        slot (null the conn slots first, so the straggling reader cannot
+        poison the new record; reap the process; registry LOST →
+        REPLACING), run the bring-up handshake for that one slot with every
+        other worker a survivor, then fence all serve loops."""
+        for held in (self._ctls, self._weight_conns):
+            conn, held[w] = held[w], None
             if conn is not None:
                 conn.close()
-        old_proc = self._procs[w]
-        old_proc.join(timeout=2.0)
-        if old_proc.is_alive():
-            old_proc.terminate()
-            old_proc.join(timeout=2.0)
-        registry.transition(w, TaskState.REPLACING)
-        for q in (self._rewire_q, self._fence_q):
-            while True:  # residue from an earlier failed attempt
-                try:
-                    q.get_nowait()
-                except queue.Empty:
-                    break
-        self._rewires += 1
-        r = self._rewires
-        opts = {
-            "connect_timeout": self._connect_timeout,
-            "handshake_timeout": self._handshake_timeout,
-            "heartbeat_interval": self._heartbeat_interval,
-            "deadlock_timeout": self.deadlock_timeout,
-        }
-        ctx = multiprocessing.get_context(
-            self._start_method or _runtime._default_start_method()
-        )
-        bootstrap = Listener(self._address(f"ctl_r{r}"), backlog=2)
-        try:
-            proc = ctx.Process(
-                target=_socket_worker_main,
-                args=(w, bootstrap.address, opts),
-                name=f"pipe-sock-r{r}-{w}",
-                daemon=True,
-            )
-            proc.start()
-            self._procs[w] = proc
-            deadline = time.monotonic() + self._handshake_timeout
-            pending = 2
-            while pending:
-                try:
-                    conn = bootstrap.accept(0.2)
-                except TransportTimeout:
-                    if not proc.is_alive() and proc.exitcode != 0:
-                        raise WorkerLostError(
-                            f"replacement for worker {w} died on startup "
-                            f"(exit code {proc.exitcode})",
-                            worker=w,
-                        ) from None
-                    if time.monotonic() > deadline:
-                        raise TransportTimeout(
-                            f"replacement for worker {w} did not dial back "
-                            f"within {self._handshake_timeout:g}s"
-                        ) from None
-                    continue
-                try:
-                    tag, ww = conn.recv_obj(self._handshake_timeout)
-                    if tag == "hello" and ww == w:
-                        self._ctls[w] = conn
-                    elif tag == "weights" and ww == w:
-                        self._weight_conns[w] = conn
-                    else:
-                        raise FrameError(
-                            f"unexpected handshake frame {tag!r} from "
-                            f"replacement worker {ww}"
-                        )
-                except BaseException:
-                    conn.close()
-                    raise
-                pending -= 1
-        finally:
-            bootstrap.close()
-
-        k = self.num_workers
-        ctl = self._ctls[w]
-        listen, dial = _channel_keys(self._cross, w)
-        init = {
-            "k": k,
-            "num_microbatches": self._num_microbatches,
-            "stage_shapes": self._stage_shapes,
-            "stage_names": [list(s.names) for s in self.stages],
-            "edges": self._edges,
-            "resolver_spec": self.plan.resolver_spec(),
-            "model_wire": self._model_wire,
-            "granularity": self._granularity,
-            "max_workers": self._max_workers,
-            "fuse_waves": self.fuse_waves,
-            "loss_pickle": self._loss_pickle if w == k - 1 else b"",
-            "listen": {
-                key: self._address(f"cr{r}_{key[0]}{key[1]}") for key in listen
-            },
-            "dial": dial,
-            "pstate": (
-                self.driver_workers[w].persistent_state()
-                if self.driver_workers[w].has_persistent_state()
-                else None
-            ),
-        }
-        ctl.send_obj(("init", init), self._handshake_timeout)
-
-        # Survivor rewires: each neighbor's spec covers exactly the channel
-        # keys on edges it shares with w (every such key has one listener —
-        # the receiver — so one fresh-address namespace covers the lot).
-        adjacent = [(i, s, d) for (i, s, d) in self._cross if w in (s, d)]
-        neighbors: dict[int, dict] = {}
-        for u in range(k):
-            if u == w:
-                continue
-            mine = [(i, s, d) for (i, s, d) in adjacent if u in (s, d)]
-            if not mine:
-                continue
-            u_listen, u_dial = _channel_keys(mine, u)
-            neighbors[u] = {
-                "close": sorted(u_listen + u_dial),
-                "listen": {
-                    key: self._address(f"cr{r}_{key[0]}{key[1]}")
-                    for key in u_listen
-                },
-                "dial": u_dial,
-            }
-        for u, spec in neighbors.items():
-            self._ctls[u].send_obj(("rewire", spec), self._send_timeout)
-
-        # Merge bound replies.  The replacement's arrives on its ctl (no
-        # reader thread yet); survivors' are routed via _rewire_q — and a
-        # survivor blocked mid-aborted-step only answers after that step's
-        # deadline, so the wait window covers step deadline + handshake.
-        addresses: dict[tuple[str, int], str] = {}
-        msg = ctl.recv_obj(
-            self.deadlock_timeout + self.done_grace + self._handshake_timeout
-        )
-        if msg[0] == "done" and msg[1][2] == "init_error":
-            raise msg[1][6]
-        if msg[0] != "bound":
-            raise FrameError(
-                f"expected bound from replacement worker {w}, got {msg[0]!r}"
-            )
-        addresses.update(msg[2])
-        deadline = time.monotonic() + (
-            self.deadlock_timeout + self.done_grace + self._handshake_timeout
-        )
-        got = 0
-        while got < len(neighbors):
-            try:
-                msg = self._rewire_q.get(timeout=0.2)
-            except queue.Empty:
-                dead = self._proc_failure()
-                if dead is not None:
-                    raise WorkerLostError(dead, worker=self._lost_worker) from None
-                if not self._procs[w].is_alive() and self._procs[w].exitcode != 0:
-                    raise WorkerLostError(
-                        f"replacement for worker {w} died mid-handshake "
-                        f"(exit code {self._procs[w].exitcode})",
-                        worker=w,
-                    ) from None
-                if time.monotonic() > deadline:
-                    raise TransportTimeout(
-                        "survivors did not rebind their channels in time"
-                    ) from None
-                continue
-            addresses.update(msg[2])
-            got += 1
-
-        ctl.send_obj(("addresses", addresses), self._handshake_timeout)
-        for u in neighbors:
-            self._ctls[u].send_obj(("rewire_addresses", addresses), self._send_timeout)
-
-        threading.Thread(
-            target=self._reader,
-            args=(w, ctl, registry),
-            name=f"pipe-sock-reader-r{r}-{w}",
-            daemon=True,
-        ).start()
-        deadline = time.monotonic() + (
-            self.deadlock_timeout + self.done_grace + self._handshake_timeout
-        )
-        while True:
-            try:
-                ww, _, kind, _, _, _, payload = self._done.get(timeout=0.2)
-            except queue.Empty:
-                dead = self._proc_failure()
-                if dead is not None:
-                    raise WorkerLostError(dead, worker=self._lost_worker) from None
-                if time.monotonic() > deadline:
-                    raise TransportTimeout(
-                        f"replacement for worker {w} never reported ready"
-                    ) from None
-                continue
-            if kind == "init_error":
-                raise payload
-            if kind == "ready" and ww == w:
-                break
-            # anything else is residue from the aborted step — discard
-
-        # The fresh mirror starts empty; survivors keep their windows, so
-        # publish resolvable versions to the replacement alone.  Reseed
-        # survivors' persistent state from the driver copies (which hold
-        # only collected-step state) so the retried minibatch replays the
-        # exact trajectory, matching generation-respawn semantics.
-        self._publish_window(workers=(w,))
-        for u in neighbors:
-            compute = self.driver_workers[u]
-            if compute.has_persistent_state():
-                self._ctls[u].send_obj(
-                    ("pstate", compute.persistent_state()), self._send_timeout
-                )
-        registry.transition(w, TaskState.READY)
-        self._await_quiesce(r)
+        proc, self._procs[w] = self._procs[w], None
+        reap([proc])
+        self.registry.transition(w, TaskState.REPLACING)
+        _drain(self._rewire_q)  # residue from an earlier failed attempt
+        _drain(self._fence_q)
+        self._start_workers([w])
+        self._await_quiesce(self._handshakes)
 
     def _await_quiesce(self, token: int) -> None:
         """Fence every worker's serve loop before the caller may retry.
@@ -1821,8 +1362,8 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
         in its serve loop with no step commands outstanding.  Each queued
         zombie step can burn a full deadlock window before aborting, so
         the deadline scales with the in-flight count."""
-        for conn in self._ctls:
-            conn.send_obj(("fence", token), self._send_timeout)
+        for w in range(self.num_workers):
+            self._send(w, ("fence", token))
         waiting = set(range(self.num_workers))
         deadline = time.monotonic() + (
             self.deadlock_timeout * (len(self._issued) + 1)
@@ -1830,56 +1371,34 @@ class SocketWorkerPool(_runtime._WorkerPoolBase):
             + self._handshake_timeout
         )
         while waiting:
-            try:
-                _, ww, tok = self._fence_q.get(timeout=0.2)
-            except queue.Empty:
-                dead = self._proc_failure()
-                if dead is not None:
-                    raise WorkerLostError(dead, worker=self._lost_worker) from None
-                if time.monotonic() > deadline:
-                    raise TransportTimeout(
-                        f"workers {sorted(waiting)} did not quiesce after a "
-                        f"replacement"
-                    ) from None
-                continue
+            _, ww, tok = self._poll(
+                lambda t: self._fence_q.get(timeout=t), deadline,
+                TransportTimeout(
+                    f"workers {sorted(waiting)} did not quiesce after a "
+                    f"replacement"
+                ),
+            )
             if tok == token:
                 waiting.discard(ww)
         self._drain_residue()
 
     def _teardown_workers(self) -> None:
         for conn in self._ctls:
-            if conn is None:
-                continue
-            try:
-                conn.send_obj(("shutdown",), 0.5)
-            except TransportError:
-                pass
+            if conn is not None:
+                with contextlib.suppress(TransportError):
+                    conn.send_obj(("shutdown",), 0.5)
         for conn in list(self._ctls) + list(self._weight_conns):
             if conn is not None:
                 conn.close()
         self._ctls = []
         self._weight_conns = []
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=2.0)
+        reap(self._procs)
         self._procs = []
 
     def close(self) -> None:
         self._teardown_workers()
         if self._dir is not None:
-            try:
-                for name in os.listdir(self._dir):
-                    try:
-                        os.unlink(os.path.join(self._dir, name))
-                    except OSError:
-                        pass
-                os.rmdir(self._dir)
-            except OSError:
-                pass
+            shutil.rmtree(self._dir, ignore_errors=True)
             self._dir = None
 
 

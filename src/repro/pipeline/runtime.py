@@ -22,7 +22,10 @@ cross-attention join, and the encoder output follows — with the same
 worker programs, because every edge flows forward through the worker order
 (validated at build time), which keeps 1F1B and fill/drain deadlock-free.
 
-Two worker backends share one scheduler loop (:meth:`train_step`):
+Three worker backends share one scheduler loop (:meth:`train_step`) and one
+worker loop (:class:`repro.pipeline.worker.Worker` — bootstrap, step wrapper
+and serve loop are written once; a backend only chooses the channel set and
+where gradients go back):
 
 * :class:`ThreadWorkerPool` (``backend="thread"``, the ``async`` runtime) —
   per-stage worker threads with one in-process queue per graph edge.
@@ -41,6 +44,11 @@ Two worker backends share one scheduler loop (:meth:`train_step`):
   ``(d, memory, masks…)``).  Accumulated gradients return through a
   :class:`~repro.pipeline.transport.SharedGradMailbox` and the optimizer
   still steps once per minibatch on the driver.
+* :class:`~repro.pipeline.net.SocketWorkerPool` (``backend="socket"``) —
+  the same worker processes over framed TCP/UDS connections, with a
+  pushed :class:`~repro.pipeline.net.RemoteWeightMirror`, gradients riding
+  the done reports, a worker registry with heartbeats, and in-place
+  replacement of a lost worker (see :mod:`repro.pipeline.net`).
 
 Why equivalence holds despite concurrency:
 
@@ -89,34 +97,26 @@ barriers at the boundary exactly as before.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
-import pickle
 import queue
 import threading
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core import PipeMareConfig
-from repro.nn import arena as nn_arena
 from repro.nn.dropout import Dropout
 from repro.nn.module import Module
 from repro.optim import Optimizer
 from repro.optim.schedulers import LRSchedule
 from repro.pipeline.delays import Method
+from repro.pipeline.net import SocketWorkerPool
 from repro.pipeline.partition import Stage, check_replica_count
-from repro.pipeline.plan import (
-    PipelineBackend,
-    ReplicaPlan,
-    ResolverSpec,
-    StepPlan,
-    WorkerPlanMirror,
-)
-from repro.pipeline.schedule import stage_programs
+from repro.pipeline.plan import PipelineBackend, ReplicaPlan, StepPlan
 from repro.pipeline.stage_compute import (
     ModelSpec,
     WorkerCompute,
@@ -124,20 +124,23 @@ from repro.pipeline.stage_compute import (
     build_worker_graph,
 )
 from repro.pipeline.transport import (
+    QueueChannels,
+    RingChannels,
     SharedGradMailbox,
     ShmRing,
-    TransportClosed,
-    TransportTimeout,
-    pack_lanes,
-    unpack_lanes,
+    worker_rings,
 )
-from repro.pipeline.waveprogram import WaveProgram
 from repro.pipeline.weight_store import SharedWeightMirror
-
-
-class PipelineDeadlockError(RuntimeError):
-    """A worker waited longer than ``deadlock_timeout`` for an activation or
-    gradient that never arrived — the schedule's dataflow stalled."""
+from repro.pipeline.worker import (
+    PipelineDeadlockError,
+    Worker,
+    _build_wave_programs,
+    _default_start_method,
+    _StepResult,
+    _WorkerPoolBase,
+    reap,
+    run_worker,
+)
 
 
 class RuntimeWedgedError(RuntimeError):
@@ -146,50 +149,6 @@ class RuntimeWedgedError(RuntimeError):
     so no further steps can run — build a fresh runtime.  Raised by
     :meth:`AsyncPipelineRuntime.train_step` on entry, distinct from the
     error that wedged the pool in the first place."""
-
-
-# Test seam: when set, every worker-side channel object is passed through
-# this hook before use, letting the fault-injection harness wrap transports
-# with drop/delay/duplicate/disconnect behaviour.  With the default fork
-# start method, child processes inherit a monkeypatched value.
-_channel_hook = None
-
-
-def _wrap_channels(chans, w: int):
-    if _channel_hook is None:
-        return chans
-    return _channel_hook(chans, w)
-
-
-@dataclass
-class _StepContext:
-    """Everything one train step shares between the driver and thread
-    workers.  ``seq`` is the pool's step sequence (tags done reports),
-    ``t`` the plan's minibatch index for this step — passed explicitly
-    because with the overlapped boundary the plan's own counter still
-    describes the *previous* step while this one runs.  ``ext[i][j]`` is
-    external model input i for microbatch j; the per-kind queue dicts are
-    keyed by cross-worker edge index."""
-
-    seq: int
-    t: int
-    sync: bool
-    ext: list
-    ys: list
-    scales: list[float]
-    programs: list[WaveProgram]
-    losses: list[float]
-    act_q: dict[int, queue.SimpleQueue]
-    rec_q: dict[int, queue.SimpleQueue]
-    grad_q: dict[int, queue.SimpleQueue]
-    # Early-loss signalling for the two-in-flight driver: ``outcome`` fires
-    # as soon as the sink worker finished every forward (``losses_done``) or
-    # any worker failed (``failed``) — whichever comes first.  The driver's
-    # await_losses() can then return this step's losses while its backward
-    # half is still draining.
-    losses_done: bool = False
-    failed: bool = False
-    outcome: threading.Event = field(default_factory=threading.Event)
 
 
 @dataclass
@@ -203,8 +162,10 @@ class RuntimeStats:
     excludes it.
 
     ``busy`` is compute time (channel waits and payload copies excluded);
-    ``transport`` is the time the process backend spent copying payloads
-    through shared memory (zero for threads).  The two are disjoint, so a
+    ``transport`` is the time spent moving payload bytes — shared-memory
+    copies on the process backend, frame encode/send and receive/decode on
+    the socket backend (clocked from a frame's arrival, so waiting for a
+    quiet producer is bubble, not transport), zero for threads.  The two are disjoint, so a
     worker's *active* time is their sum — that is the quantity
     :meth:`bubble_fraction` treats as non-idle and
     :meth:`transport_fraction` takes its share of.
@@ -349,570 +310,14 @@ class RuntimeStats:
         return max(0.0, min(1.0, lost / (self.total_wall * k)))
 
 
-@dataclass
-class _StepResult:
-    losses: list[float]
-    busy: list[float]
-    transport: list[float]
-    stall: list[float]
-    commands: int = 0
-    reports: int = 0
-    lanes: list = field(default_factory=list)
-
-
-# -- the shared per-worker program interpreter --------------------------------
-
-
-def _execute_program(
-    compute: WorkerCompute,
-    program: "WaveProgram",
-    resolver,
-    t: int,
-    sync: bool,
-    chans,
-    loss_fn,
-    ext,
-    ys,
-    scales,
-    losses,
-    gate_timeout: float,
-    on_losses=None,
-) -> tuple[float, float, list[tuple[int, float, float, float]]]:
-    """Run one worker's compiled :class:`~repro.pipeline.waveprogram.WaveProgram`
-    for minibatch ``t``, one fused block at a time.
-
-    Identical for all backends: only ``chans`` (queue-, ring- or
-    socket-backed) and ``resolver`` (driver :class:`StepPlan` or a worker's
-    :class:`WorkerPlanMirror`) differ.  Each op walks the worker's segments
-    in graph order (forward) or reverse (backward); same-worker edges hand
-    payloads off through a local dict, cross-worker edges through the
-    channel of that edge.
-
-    Every **block** is version-gated at entry: the compiler guarantees no
-    wave inside the block requires a version newer than the entry gate
-    (``max(0, t - gate_delay)``), so one wait admits the whole block — the
-    admission rule that lets a step run while the previous step's optimizer
-    boundary is still in flight.  Unfused programs have one wave per block,
-    reproducing the historical per-wave gate exactly.  Weight re-pointing
-    is skipped where the compiler proved the previous wave in the block
-    loaded the same versions (``WaveBlock.loads``); dropout slots, cache
-    snapshots and arena pinning (``begin_wave``/``release_wave``) remain
-    per-wave, so trajectories are bit-for-bit unchanged.
-
-    ``on_losses`` (sink worker only) fires once the last forward wave wrote
-    its loss — the signal that lets the driver return step t's training
-    loss while t's backward half (and the next step) are still draining.
-
-    Returns ``(busy, stall, lanes)``: total compute seconds (channel waits
-    and payload copies excluded), total version-gate wait seconds, and one
-    ``(num_waves, busy, stall, xfer)`` lane per executed block — the
-    coarsened done-report detail.  ``busy``/``stall`` equal the lane sums
-    by construction.
-    """
-    snapshots: dict[int, list[dict]] = {}
-    grads: dict[int, np.ndarray] = {}
-    recompute = resolver.recompute_active(sync)
-    busy = 0.0
-    stall = 0.0
-    lanes: list[tuple[int, float, float, float]] = []
-    f_total = program.num_forwards
-    f_done = 0
-    xfer_fn = getattr(chans, "xfer_seconds", None)
-
-    def run_wave(kind: str, j: int, load: bool) -> None:
-        """One forward-style pass (op F on "act", op R on "rec")."""
-        nonlocal busy, f_done
-        chans.begin_wave(j)
-        local: dict[int, object] = {}
-        prepared = False
-        for seg in compute.segments:
-            ins = []
-            for e in seg.in_edges:
-                if e.src is None:
-                    ins.append(ext[e.ext_index][j])
-                elif e.local:
-                    ins.append(local.pop(e.index))
-                else:
-                    ins.append(chans.recv(kind, e.index))
-            t0 = time.perf_counter()
-            if not prepared:
-                if load:
-                    if kind == "act":
-                        compute.load_weights(
-                            lambda s: resolver.forward_weights(s, t, j, sync)
-                        )
-                    else:
-                        compute.load_weights(
-                            lambda s: resolver.recompute_weights(s, t, j)
-                        )
-                compute.set_dropout_slot(t, j)
-                prepared = True
-            out_edge = seg.out_edge
-            if out_edge is not None and not out_edge.local and chans.can_reserve:
-                # In-ring compute: let the segment's last module write its
-                # output directly into a reserved transport slot; send()
-                # recognises the reserved view and publishes without a copy.
-                reserve = (
-                    lambda shape, dtype, _k=kind, _e=out_edge.index:
-                    chans.reserve(_k, _e, shape, dtype)
-                )
-                out = seg.forward(ins, reserve)
-            else:
-                out = seg.forward(ins)
-            if seg.is_sink and kind == "act":
-                losses[j] = loss_fn(out, ys[j])
-                g = loss_fn.backward()
-                sg = nn_arena.empty(g.shape, np.result_type(g, scales[j]))
-                np.multiply(g, scales[j], out=sg)
-                grads[j] = sg
-            busy += time.perf_counter() - t0
-            if out_edge is not None:
-                if out_edge.local:
-                    local[out_edge.index] = out
-                else:
-                    chans.send(kind, out_edge.index, out)
-        if kind == "rec" or not recompute:
-            t0 = time.perf_counter()
-            snapshots[j] = compute.cache_state()
-            busy += time.perf_counter() - t0
-        if kind == "act":
-            f_done += 1
-            if on_losses is not None and f_done == f_total:
-                on_losses()
-
-    def run_backward(j: int, load: bool) -> None:
-        nonlocal busy
-        chans.begin_wave(j)
-        local: dict[int, object] = {}
-        restored = False
-        for seg in reversed(compute.segments):
-            if seg.is_sink:
-                g = grads.pop(j)
-            elif seg.out_edge.local:
-                g = local.pop(seg.out_edge.index)
-            else:
-                g = chans.recv("grad", seg.out_edge.index)
-            t0 = time.perf_counter()
-            if not restored:
-                compute.load_cache_state(snapshots.pop(j))
-                if load:
-                    compute.load_weights(
-                        lambda s: resolver.backward_weights(s, t, j, sync)
-                    )
-                restored = True
-            gins = seg.backward(g)
-            busy += time.perf_counter() - t0
-            for e, gi in zip(seg.in_edges, gins):
-                if e.src is None:
-                    continue
-                if e.local:
-                    local[e.index] = gi
-                else:
-                    chans.send("grad", e.index, gi)
-        # Microbatch j is finished on this worker: pinned transport views
-        # (its activations, recompute inputs and gradients) can be acked.
-        chans.release_wave(j)
-
-    for block in program.blocks:
-        busy0, stall0 = busy, stall
-        xfer0 = xfer_fn() if xfer_fn is not None else 0.0
-        if block.gate_delay is not None:
-            v = max(0, t - block.gate_delay)
-            if v > resolver.store.latest_version:
-                t0 = time.perf_counter()
-                resolver.wait_version(v, gate_timeout)
-                stall += time.perf_counter() - t0
-        for (op, j), load in zip(block.ops, block.loads):
-            if op == "F":
-                run_wave("act", j, load)
-            elif op == "R":
-                run_wave("rec", j, load)
-            else:  # "B"
-                run_backward(j, load)
-        xfer1 = xfer_fn() if xfer_fn is not None else 0.0
-        lanes.append((len(block.ops), busy - busy0, stall - stall0, xfer1 - xfer0))
-    return busy, stall, lanes
-
-
-class _QueueChannels:
-    """Thread-backend channel set: one per-step in-process SimpleQueue per
-    cross-worker edge and payload kind.  Payloads are handed off by
-    reference, so the pin/reserve hooks of the ring transport are no-ops
-    here (arena generation lifetime already covers cross-thread hand-offs)."""
-
-    can_reserve = False
-
-    def __init__(self, ctx: _StepContext, w: int, timeout: float):
-        self._by_kind = {"act": ctx.act_q, "rec": ctx.rec_q, "grad": ctx.grad_q}
-        self._w = w
-        self._timeout = timeout
-
-    def recv(self, kind: str, edge: int):
-        try:
-            return self._by_kind[kind][edge].get(timeout=self._timeout)
-        except queue.Empty:
-            raise TransportTimeout(
-                f"worker {self._w} waited >{self._timeout}s for a {kind} "
-                f"payload on edge {edge} that never arrived"
-            ) from None
-
-    def send(self, kind: str, edge: int, payload) -> None:
-        self._by_kind[kind][edge].put(payload)
-
-    def reserve(self, kind: str, edge: int, shape, dtype):
-        return None
-
-    def begin_wave(self, j: int) -> None:
-        pass
-
-    def release_wave(self, j: int) -> None:
-        pass
-
-    def release_all(self) -> None:
-        pass
-
-
-class _RingChannels:
-    """Process-backend channel set: one shared-memory ring per cross-worker
-    edge and payload kind.
-
-    Messages are tagged with the driver's step sequence; a tag older than
-    the current step is residue from an aborted step and is discarded, so
-    the channels self-heal after an error without any flush handshake.
-
-    Received single-array payloads are **zero-copy views** into the ring,
-    pinned (ack deferred) until the consuming microbatch's backward wave
-    finishes: :meth:`recv` files each pin under the wave
-    :meth:`begin_wave` opened, :meth:`release_wave` acks a finished
-    microbatch's pins, and :meth:`release_all` (worker per-step cleanup)
-    drops everything an aborted step left pinned so producers can never
-    starve on unacked slots.  :meth:`reserve` is the send-side twin: a
-    writable view of the next ring slot that lets the producing segment
-    compute straight into the transport (send() publishes it without a
-    copy).  Pin budget: a step pins at most N messages per ring while the
-    rings hold 2N slots, so a producer's slot-free wait can only be on a
-    message the consumer has already released.
-    """
-
-    can_reserve = True
-
-    def __init__(self, rings: dict[tuple[str, int], ShmRing], timeout: float):
-        self._rings = rings
-        self._timeout = timeout
-        self.step = 0
-        self._wave = 0
-        self._pins: dict[int, list[tuple[ShmRing, object]]] = {}
-
-    def xfer_seconds(self) -> float:
-        return sum(r.xfer_seconds for r in self._rings.values())
-
-    def recv(self, kind: str, edge: int):
-        ring = self._rings[(kind, edge)]
-        while True:
-            tag, payload, token = ring.recv_msg_view(self._timeout)
-            if tag != self.step:
-                # stale message from an aborted step — drop and keep looking
-                if token is not None:
-                    ring.release(token)
-                continue
-            if token is not None:
-                self._pins.setdefault(self._wave, []).append((ring, token))
-            return payload
-
-    def send(self, kind: str, edge: int, payload) -> None:
-        ring = self._rings[(kind, edge)]
-        if ring.commit_if_reserved(payload):
-            return
-        ring.cancel_reserved()
-        ring.send_msg(payload, self.step, self._timeout)
-
-    def reserve(self, kind: str, edge: int, shape, dtype):
-        return self._rings[(kind, edge)].reserve(shape, dtype, self.step, self._timeout)
-
-    def begin_wave(self, j: int) -> None:
-        self._wave = j
-
-    def release_wave(self, j: int) -> None:
-        for ring, token in self._pins.pop(j, []):
-            ring.release(token)
-
-    def release_all(self) -> None:
-        for pins in self._pins.values():
-            for ring, token in pins:
-                ring.release(token)
-        self._pins.clear()
-        for ring in self._rings.values():
-            ring.cancel_reserved()
-
-    def close(self) -> None:
-        self.release_all()
-        for r in self._rings.values():
-            r.close()
-
 
 # -- worker pools --------------------------------------------------------------
 
 
-def _build_programs(
-    method: Method, num_workers: int, num_microbatches: int, recompute: bool
-) -> dict[bool, list[list[tuple[str, int]]]]:
-    """Worker programs, straight off the occupancy grids: the schedule
-    module's Figure 1 cartoons, executed for real.  Keyed by the step's
-    sync flag — GPipe-style fill/drain for synchronous steps (T3 warmup;
-    for the GPipe method ``is_sync_step()`` is always True), the method's
-    own interleaved schedule otherwise.  Thread pools build this on the
-    driver; process workers rebuild the identical dict from the resolver
-    spec inside their own interpreter."""
-    return {
-        True: stage_programs(Method.GPIPE, num_workers, num_microbatches, recompute=False),
-        False: stage_programs(method, num_workers, num_microbatches, recompute=recompute),
-    }
-
-
-def _graph_recv_peers(graph: WorkerGraph) -> tuple[list[list[int]], list[list[int]]]:
-    """Per-worker producer sets for the fusion compiler's cross-worker
-    boundary rule: ``fwd_peers[w]`` are the workers whose forward/recompute
-    waves feed ``w`` activations, ``bwd_peers[w]`` those whose backward
-    waves feed it gradients (gradients flow dst → src along each edge)."""
-    fwd: list[set[int]] = [set() for _ in range(graph.num_workers)]
-    bwd: list[set[int]] = [set() for _ in range(graph.num_workers)]
-    for e in graph.cross_edges():
-        fwd[e.dst.worker].add(e.src.worker)
-        bwd[e.src.worker].add(e.dst.worker)
-    return [sorted(s) for s in fwd], [sorted(s) for s in bwd]
-
-
-def _build_wave_programs(
-    method: Method,
-    resolver,
-    graph: WorkerGraph,
-    num_microbatches: int,
-    recompute: bool,
-    fuse: bool,
-) -> dict[bool, list[WaveProgram]]:
-    """Compile :func:`_build_programs`'s wave schedules into per-worker
-    :class:`~repro.pipeline.waveprogram.WaveProgram` command blocks, keyed
-    by the step's sync flag.  Thread pools build this once on the driver;
-    process and socket workers rebuild the identical dict from their
-    resolver mirror (same arithmetic, same deterministic graph), so no
-    compiled program ever crosses a process boundary."""
-    programs = _build_programs(method, graph.num_workers, num_microbatches, recompute)
-    read_stages = [w.read_stages for w in graph.workers]
-    fwd_peers, bwd_peers = _graph_recv_peers(graph)
-    return {
-        sync: resolver.wave_programs(
-            programs[sync], read_stages, fwd_peers, bwd_peers, sync, fuse
-        )
-        for sync in (True, False)
-    }
-
-
-class _WorkerPoolBase:
-    """Shared driver-side issue/collect machinery of the two pools.
-
-    A step is **issued** (commands broadcast; workers may begin as soon as
-    their version gates allow) and later **collected** (all done reports
-    gathered) as two separate driver actions, so the scheduler can slide
-    the previous step's optimizer boundary between them — that gap is the
-    whole overlapped-boundary mechanism.  At most one step is issued and
-    uncollected at a time; what overlaps it is the *driver's* boundary
-    work for the step before.
-
-    Done messages are ``(worker, step_seq, kind, busy, transport, stall,
-    payload)`` with kind in {"ok", "error", "deadlock"} (plus
-    "ready"/"init_error" during process startup).  The step-sequence tag
-    guards the queue against residue from aborted steps: stale tags are
-    discarded, a tag from the future is a protocol bug and fails loudly.
-    ``_collect`` gathers all workers' reports into locals and raises on
-    failure **without mutating any runtime state**, which is what lets
-    :meth:`AsyncPipelineRuntime.train_step` commit stats atomically for
-    completed steps only.
-    """
-
-    kind: str = ""
-
-    def __init__(self, num_workers: int, deadlock_timeout: float, done_grace: float):
-        self.num_workers = num_workers
-        self.deadlock_timeout = deadlock_timeout
-        self.done_grace = done_grace
-        self.wedged = False
-        self._seq = 0  # step sequence; tags commands, done reports, mailbox
-        # Issued-but-uncollected step sequences, oldest first.  With two
-        # steps in flight, done reports for step t+1 can land while the
-        # driver is still collecting step t; they are parked here instead
-        # of being treated as protocol violations.
-        self._issued: deque[int] = deque()
-        self._buffered: list = []
-        self._early_losses: dict[int, list] = {}
-
-    def _get_done(self, timeout: float):
-        raise NotImplementedError
-
-    def _peer_failure(self) -> str | None:
-        """Process pools report a worker that died without a message (killed,
-        segfaulted); threads cannot die silently."""
-        return None
-
-    def _peer_error(self, dead: str) -> BaseException:
-        """The typed error a dead peer surfaces as: the shared-memory pools
-        report a deadlock, the socket pool overrides this with
-        :class:`~repro.pipeline.registry.WorkerLostError`."""
-        return PipelineDeadlockError(dead)
-
-    def _next_done(self, deadline: float):
-        """One done message, failing fast on dead peers.  A worker that will
-        never report wedges the pool: don't reuse it, but close() can still
-        deliver shutdown sentinels / terminate stragglers."""
-        while True:
-            try:
-                return self._get_done(min(0.2, self.deadlock_timeout + self.done_grace))
-            except queue.Empty:
-                dead = self._peer_failure()
-                if dead is not None:
-                    self.wedged = True
-                    raise self._peer_error(dead) from None
-                if time.perf_counter() > deadline:
-                    self.wedged = True
-                    raise PipelineDeadlockError(
-                        f"pipeline stalled: a worker did not finish within "
-                        f"{self.deadlock_timeout + self.done_grace:.0f}s"
-                    ) from None
-
-    def _take_done(self, seq: int, deadline: float):
-        """Next done message relevant to step ``seq``: a parked one if
-        available, otherwise fresh off the queue."""
-        for i, msg in enumerate(self._buffered):
-            if msg[1] <= seq:
-                return self._buffered.pop(i)
-        return self._next_done(deadline)
-
-    def _collect(
-        self, seq: int
-    ) -> tuple[list[float], list[float], list[float], dict[int, object]]:
-        k = self.num_workers
-        busys = [0.0] * k
-        xfers = [0.0] * k
-        stalls = [0.0] * k
-        extras: dict[int, object] = {}
-        errors: list[tuple[int, BaseException]] = []
-        deadlocks: list[tuple[int, str]] = []
-        got = 0
-        while got < k:
-            # Each report gets its own full timeout window: a worker whose
-            # final (secondary) channel wait starts late in the step must
-            # still get to report its TransportTimeout, otherwise the real
-            # worker exception already collected would be masked by a
-            # spurious wedge.
-            deadline = time.perf_counter() + self.deadlock_timeout + self.done_grace
-            msg = self._take_done(seq, deadline)
-            w, msg_seq, kind, busy, xfer, stall, payload = msg
-            if kind == "losses":
-                # Early-loss report from a sink worker; never a done count.
-                if msg_seq >= seq:
-                    self._early_losses[msg_seq] = payload
-                continue
-            if msg_seq < seq:
-                continue  # residue from an aborted step — discard
-            if msg_seq > seq:
-                # A later in-flight step finished a worker before this one
-                # drained; park the report for that step's collect.
-                self._buffered.append(msg)
-                continue
-            got += 1
-            busys[w] = busy
-            xfers[w] = xfer
-            stalls[w] = stall
-            if kind == "error":
-                errors.append((w, payload))
-            elif kind == "deadlock":
-                deadlocks.append((w, payload))
-            else:
-                extras[w] = payload
-        for s in [s for s in self._early_losses if s <= seq]:
-            del self._early_losses[s]
-        if errors:
-            # Real exceptions outrank the secondary starvation timeouts they
-            # cause in neighbouring workers.
-            raise errors[0][1]
-        if deadlocks:
-            raise PipelineDeadlockError(
-                f"worker {deadlocks[0][0]} reported: {deadlocks[0][1]}"
-            )
-        return busys, xfers, stalls, extras
-
-    def issue(self, t, sync, ext, ys, scales, num_microbatches) -> int:
-        """Broadcast one step's commands; workers start as their version
-        gates allow.  Returns the step's sequence tag; must eventually be
-        balanced by exactly one :meth:`collect` (steps collect in issue
-        order)."""
-        raise NotImplementedError
-
-    def collect(self) -> _StepResult:
-        """Gather the oldest issued step's done reports (and, for
-        processes, its mailbox gradients)."""
-        raise NotImplementedError
-
-    def await_losses(self, seq: int) -> list | None:
-        """Block until the sink worker of issued step ``seq`` has finished
-        every forward wave, and return that step's microbatch losses — the
-        early-return signal that lets the driver hand the caller step t's
-        loss while t's backward half (and a second in-flight step) are
-        still draining.  Returns ``None`` if the step failed or stalled
-        instead; the caller then collects normally to surface the error.
-
-        This base implementation drains the done queue for the sink's
-        early-loss report (process and socket pools); the thread pool
-        overrides it with an event wait on the shared step context."""
-        if seq in self._early_losses:
-            return self._early_losses.pop(seq)
-        deadline = time.perf_counter() + self.deadlock_timeout + self.done_grace
-        while True:
-            # A parked failure report for this step means no losses are
-            # coming; let collect() surface the real error.
-            for msg in self._buffered:
-                if msg[1] == seq and msg[2] in ("error", "deadlock"):
-                    return None
-            try:
-                msg = self._get_done(0.2)
-            except queue.Empty:
-                if self._peer_failure() is not None:
-                    return None
-                if time.perf_counter() > deadline:
-                    return None
-                continue
-            if msg[2] == "losses":
-                if msg[1] == seq:
-                    return msg[6]
-                if msg[1] > seq:
-                    self._early_losses[msg[1]] = msg[6]
-                continue
-            self._buffered.append(msg)
-
-    def run_step(self, t, sync, ext, ys, scales, num_microbatches) -> _StepResult:
-        """Barrier-mode convenience: issue then immediately collect."""
-        self.issue(t, sync, ext, ys, scales, num_microbatches)
-        return self.collect()
-
-    def publish_plan_state(self) -> None:
-        """Called after the optimizer boundary; process pools push the new
-        weight version (and T2 velocities) into the shared mirror."""
-
-    def full_resync(self) -> None:
-        """Called after a checkpoint restore rewrote the version window."""
-
-    def stop_workers(self) -> None:
-        """Stop this pool's workers but leave any shared segments other
-        pools still use alive — what :meth:`ReplicaGroup.drop_replica`
-        calls on a degraded replica.  Pools without shared segments just
-        close."""
-        self.close()
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
 class ThreadWorkerPool(_WorkerPoolBase):
-    """Per-stage worker threads with in-process per-edge queues."""
+    """Per-stage worker threads with in-process per-edge queues.  The
+    workers run over the driver's live model slices and :class:`StepPlan`,
+    so gradients accumulate in place and nothing is rebuilt from specs."""
 
     kind = "thread"
 
@@ -925,296 +330,101 @@ class ThreadWorkerPool(_WorkerPoolBase):
         done_grace: float,
         fuse_waves: bool = True,
     ):
-        super().__init__(graph.num_workers, deadlock_timeout, done_grace)
-        self.graph = graph
-        self.workers = graph.workers
-        self.plan = plan
-        self.fuse_waves = fuse_waves
-        self._programs = _build_wave_programs(
+        super().__init__(graph, plan, deadlock_timeout, done_grace)
+        k = self.num_workers
+        programs = _build_wave_programs(
             plan.method, plan, graph, plan.num_microbatches,
             plan.recompute_segment is not None, fuse_waves,
         )
-        self._cross = [e.index for e in graph.cross_edges()]
-        self.loss_fn = loss_fn
-        self._ctxs: dict[int, _StepContext] = {}
-        self._cmd: list[queue.SimpleQueue] = [
-            queue.SimpleQueue() for _ in range(self.num_workers)
+        queues = {
+            (kind, e.index): queue.SimpleQueue()
+            for e in graph.cross_edges()
+            for kind in ("act", "rec", "grad")
+        }
+        self._workers = [
+            Worker(
+                w, graph.workers[w], plan, programs,
+                loss_fn if w == k - 1 else None,
+                QueueChannels(queues, deadlock_timeout),
+                plan.num_microbatches, deadlock_timeout,
+            )
+            for w in range(k)
         ]
+        self._cmd = [queue.SimpleQueue() for _ in range(k)]
         self._done: queue.SimpleQueue = queue.SimpleQueue()
         self._threads = [
             threading.Thread(
-                target=self._worker_loop, args=(w,), name=f"pipe-worker-{w}", daemon=True
+                target=worker.serve, args=(cmd.get, self._done.put),
+                name=f"pipe-worker-{worker.w}", daemon=True,
             )
-            for w in range(self.num_workers)
+            for worker, cmd in zip(self._workers, self._cmd)
         ]
         for th in self._threads:
             th.start()
 
+    @property
+    def _programs(self) -> dict:
+        """The compiled wave programs every worker thread reads at its next
+        step command (assignable — the starvation tests swap schedules)."""
+        return self._workers[0].programs
+
+    @_programs.setter
+    def _programs(self, programs: dict) -> None:
+        for worker in self._workers:
+            worker.programs = programs
+
     def _get_done(self, timeout: float):
-        return self._done.get(timeout=timeout)
+        return self._done.get(timeout=timeout)[1]
 
-    def issue(self, t, sync, ext, ys, scales, num_microbatches) -> int:
-        self._seq += 1
-        ctx = _StepContext(
-            seq=self._seq,
-            t=t,
-            sync=sync,
-            ext=ext,
-            ys=ys,
-            scales=scales,
-            programs=self._programs[bool(sync)],
-            losses=[0.0] * num_microbatches,
-            act_q={e: queue.SimpleQueue() for e in self._cross},
-            rec_q={e: queue.SimpleQueue() for e in self._cross},
-            grad_q={e: queue.SimpleQueue() for e in self._cross},
-        )
-        self._ctxs[self._seq] = ctx
-        self._issued.append(self._seq)
-        for cq in self._cmd:
-            cq.put(ctx)
-        return self._seq
-
-    def collect(self) -> _StepResult:
-        seq = self._issued.popleft()
-        ctx = self._ctxs.pop(seq)
-        busys, xfers, stalls, extras = self._collect(seq)
-        lanes = [
-            unpack_lanes(extras.get(w) or ()) for w in range(self.num_workers)
-        ]
-        blocks = sum(len(l) for l in lanes)
-        return _StepResult(
-            losses=list(ctx.losses), busy=busys, transport=xfers, stall=stalls,
-            commands=blocks, reports=blocks, lanes=lanes,
-        )
-
-    def await_losses(self, seq: int) -> list | None:
-        ctx = self._ctxs[seq]
-        if not ctx.outcome.wait(self.deadlock_timeout + self.done_grace):
-            return None
-        return list(ctx.losses) if ctx.losses_done else None
-
-    def _worker_loop(self, w: int) -> None:
-        # Each worker thread owns an arena; generation g (step seq) slabs
-        # are recycled when step seq+2 begins — by then both in-flight
-        # steps that could reference them have fully drained.
-        arena_obj = nn_arena.Arena()
-        nn_arena.set_current(arena_obj)
-        sink = w == self.num_workers - 1
-        while True:
-            ctx = self._cmd[w].get()
-            if ctx is None:
-                return
-            busy = stall = 0.0
-            kind, payload = "ok", None
-            chans = _wrap_channels(_QueueChannels(ctx, w, self.deadlock_timeout), w)
-            arena_obj.begin_program(ctx.seq)
-            if sink:
-                def on_losses(_ctx=ctx):
-                    _ctx.losses_done = True
-                    _ctx.outcome.set()
-            else:
-                on_losses = None
-            try:
-                busy, stall, lanes = _execute_program(
-                    self.workers[w], ctx.programs[w], self.plan, ctx.t, ctx.sync,
-                    chans, self.loss_fn, ctx.ext, ctx.ys, ctx.scales, ctx.losses,
-                    self.deadlock_timeout, on_losses,
-                )
-                payload = pack_lanes(lanes)
-            except TransportTimeout as exc:
-                kind, payload = "deadlock", str(exc)
-            except BaseException as exc:  # noqa: BLE001 — relayed to driver
-                kind, payload = "error", exc
-            if kind != "ok":
-                ctx.failed = True
-                ctx.outcome.set()
-            self._done.put((w, ctx.seq, kind, busy, 0.0, stall, payload))
+    def _send(self, w: int, cmd: tuple) -> None:
+        self._cmd[w].put(cmd)
 
     def close(self) -> None:
-        for cq in self._cmd:
-            cq.put(None)
+        for w in range(self.num_workers):
+            self._send(w, ("shutdown",))
         for th in self._threads:
             th.join(timeout=1.0)
 
 
-def _picklable_exc(exc: BaseException) -> BaseException:
-    """Exceptions cross the done queue by pickle; anything that cannot make
-    the trip is flattened to a RuntimeError carrying the formatted
-    traceback."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        )
-
-
-def _default_start_method() -> str:
-    """fork where the platform offers it (cheap, inherits the loaded NumPy),
-    else spawn.  Workers rebuild their state from picklable specs either
-    way, so the start method is a pure performance knob."""
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-
-def _worker_rings(
-    graph: WorkerGraph, w: int, base: str, slots: int
-) -> dict[tuple[str, int], ShmRing]:
-    """Attach worker ``w``'s endpoints: for each cross-worker edge it sits
-    on, activations/recomputes flow src→dst and gradients dst→src."""
-    rings: dict[tuple[str, int], ShmRing] = {}
-    for e in graph.cross_edges():
-        if e.dst.worker == w:
-            rings[("act", e.index)] = ShmRing(f"{base}a{e.index}", slots=slots, role="recv")
-            rings[("rec", e.index)] = ShmRing(f"{base}r{e.index}", slots=slots, role="recv")
-            rings[("grad", e.index)] = ShmRing(f"{base}g{e.index}", slots=slots, role="send")
-        elif e.src_worker == w:
-            rings[("act", e.index)] = ShmRing(f"{base}a{e.index}", slots=slots, role="send")
-            rings[("rec", e.index)] = ShmRing(f"{base}r{e.index}", slots=slots, role="send")
-            rings[("grad", e.index)] = ShmRing(f"{base}g{e.index}", slots=slots, role="recv")
-    return rings
-
-
 def _process_worker_main(w: int, conn, done, init: dict) -> None:
-    """Entry point of one spawned stage worker.
+    """Entry point of one spawned shared-memory stage worker: attach the
+    weight mirror, the grad mailbox and the ring endpoints named in
+    ``init``, then hand over to the shared worker loop."""
 
-    Constructs everything locally from the picklable ``init`` payload —
-    model replica via :class:`ModelSpec`, partition, worker graph, resolver
-    over the attached weight mirror, ring endpoints — then serves step
-    commands until the ``None`` sentinel (or a closed pipe) arrives.
-    """
-    k = init["k"]
-    n = init["num_microbatches"]
-    base = init["base"]
-    spec: ResolverSpec = init["resolver_spec"]
-    timeout = init["deadlock_timeout"]
-    chans = None
-    mirror = mailbox = None
-    try:
-        model, stages = init["model_spec"].build()
-        names = [list(s.names) for s in stages]
-        if names != init["stage_names"]:
-            raise ValueError(
-                f"worker {w}: model spec rebuilt a different partition than "
-                f"the driver's (stage parameter names differ)"
-            )
-        graph = build_worker_graph(
-            model, stages,
-            granularity=init["granularity"], max_workers=init["max_workers"],
-        )
-        if graph.num_workers != k or graph.edge_spec() != init["edges"]:
-            raise ValueError(
-                f"worker {w}: model spec rebuilt a different worker graph "
-                f"than the driver's ({graph.num_workers} workers, edges "
-                f"{graph.edge_spec()!r} vs {init['edges']!r})"
-            )
-        compute = graph.workers[w]
-        # The replica only ever runs sliced steps, so tied modules stay in
-        # deferred-gradient mode for its whole lifetime (the driver's own
-        # modules are scoped per step by PipelineBackend instead).
-        compute.enable_deferred()
-        stage_shapes = init["stage_shapes"]
+    def open_transport(graph, stack):
+        shapes, spec = init["stage_shapes"], init["resolver_spec"]
         # Mirror and mailbox are named separately from the ring base: in a
         # ReplicaGroup every replica pool has its own rings but all share
         # replica 0's mirror (one published version window) and mailbox
         # (one segment, one lane per replica).
         mirror = SharedWeightMirror(
-            init["wname"], stage_shapes, spec.history, spec.use_t2, readonly=True
+            init["wname"], shapes, spec.history, spec.use_t2, readonly=True
         )
-        resolver = WorkerPlanMirror(spec, mirror)
+        stack.callback(mirror.close)
         mailbox = SharedGradMailbox(
-            init["mbname"], stage_shapes, num_replicas=init["num_replicas"]
+            init["mbname"], shapes, num_replicas=init["num_replicas"]
         )
-        replica = init["replica"]
-        is_sink_worker = w == k - 1
-        loss_fn = pickle.loads(init["loss_pickle"]) if is_sink_worker else None
-        chans = _wrap_channels(
-            _RingChannels(_worker_rings(graph, w, base, init["slots"]), timeout), w
+        stack.callback(mailbox.close)
+        chans = RingChannels(
+            worker_rings(graph, w, init["base"], init["slots"]),
+            init["deadlock_timeout"],
         )
-        # Compiled locally from the resolver mirror — identical arithmetic
-        # and deterministic graph ⇒ identical fused blocks to the driver's.
-        programs = _build_wave_programs(
-            Method(spec.method), resolver, graph, n,
-            spec.recompute_segment is not None, init["fuse_waves"],
-        )
-        has_pstate = compute.has_persistent_state()
-        if init["pstate"][w] is not None:
-            compute.load_persistent_state(init["pstate"][w])
-        # Per-worker activation/gradient arena: step seq's slabs are
-        # recycled when step seq+2 begins, matching the two-in-flight
-        # driver window.
-        arena_obj = nn_arena.Arena()
-        nn_arena.set_current(arena_obj)
-    except BaseException as exc:  # noqa: BLE001 — reported to driver
-        done.put((w, 0, "init_error", 0.0, 0.0, 0.0, _picklable_exc(exc)))
-        return
-    done.put((w, 0, "ready", 0.0, 0.0, 0.0, None))
+        stack.callback(chans.close)
 
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except EOFError:
-                break
-            if msg is None:
-                break
-            if msg[0] == "__pstate__":
-                # Driver pushed fresh persistent state (checkpoint restore).
-                compute.load_persistent_state(msg[1])
-                continue
-            step_seq, t, sync, scales, ext, ys = msg
-            resolver.t = t
-            chans.step = step_seq
-            losses = [0.0] * n
-            busy = stall = 0.0
-            kind, payload = "ok", None
-            xfer0 = chans.xfer_seconds()
-            arena_obj.begin_program(step_seq)
-            if is_sink_worker:
-                def on_losses(_seq=step_seq, _losses=losses):
-                    # Early-loss report: the driver can return this step's
-                    # training loss before the backward half drains.
-                    done.put((w, _seq, "losses", 0.0, 0.0, 0.0, list(_losses)))
-            else:
-                on_losses = None
-            try:
-                for b in compute.bindings:
-                    for p in b.params:
-                        p.grad.fill(0.0)
-                compute.zero_deferred()
-                busy, stall, lanes = _execute_program(
-                    compute, programs[bool(sync)][w], resolver, t, sync, chans,
-                    loss_fn, ext, ys, scales, losses, timeout, on_losses,
-                )
-                for b in compute.bindings:
-                    for pos, p in zip(b.positions, b.params):
-                        mailbox.write(b.stage, pos, p.grad, step_seq, replica)
-                for s in {b.stage for b in compute.bindings}:
-                    # Stamp after the writes: the driver folds this stage
-                    # block only when the stamp matches the step it
-                    # collects.
-                    mailbox.stamp(s, step_seq, replica)
-                payload = (
-                    losses if is_sink_worker else None,
-                    compute.persistent_state() if has_pstate else None,
-                    pack_lanes(lanes),
-                )
-            except TransportTimeout as exc:
-                kind, payload = "deadlock", str(exc)
-            except BaseException as exc:  # noqa: BLE001 — relayed to driver
-                kind, payload = "error", _picklable_exc(exc)
-            finally:
-                # Whatever happened, nothing from this step may stay pinned
-                # in the rings: an aborted step must not starve producers.
-                chans.release_all()
-            done.put((w, step_seq, kind, busy, chans.xfer_seconds() - xfer0, stall, payload))
-    finally:
-        if chans is not None:
-            chans.close()
-        if mirror is not None:
-            mirror.close()
-        if mailbox is not None:
-            mailbox.close()
+        replica = init["replica"]
+
+        def export_grads(compute, seq):
+            for b in compute.bindings:
+                for pos, p in zip(b.positions, b.params):
+                    mailbox.write(b.stage, pos, p.grad, seq, replica)
+            for s in {b.stage for b in compute.bindings}:
+                # Stamp after the writes: the driver folds this stage block
+                # only when the stamp matches the step it collects.
+                mailbox.stamp(s, seq, replica)
+
+        return mirror, chans, export_grads
+
+    run_worker(w, init, conn.recv, done.put, open_transport)
 
 
 class ProcessWorkerPool(_WorkerPoolBase):
@@ -1230,11 +440,9 @@ class ProcessWorkerPool(_WorkerPoolBase):
         stages: list[Stage],
         loss_fn,
         model_spec: ModelSpec,
-        num_microbatches: int,
         deadlock_timeout: float,
         done_grace: float,
         start_method: str | None = None,
-        transport_slot_bytes: int = 1 << 16,
         granularity: str = "layer",
         max_workers: int | None = None,
         replica: int = 0,
@@ -1242,13 +450,11 @@ class ProcessWorkerPool(_WorkerPoolBase):
         shared: tuple | None = None,
         fuse_waves: bool = True,
     ):
-        k = graph.num_workers
-        super().__init__(k, deadlock_timeout, done_grace)
-        self.graph = graph
-        self.driver_workers = graph.workers
-        self.plan = plan
-        self.stages = stages
-        self.fuse_waves = fuse_waves
+        super().__init__(graph, plan, deadlock_timeout, done_grace)
+        k = self.num_workers
+        self._describe_workers(
+            stages, loss_fn, model_spec, granularity, max_workers, fuse_waves
+        )
         # Replica pools of a ReplicaGroup share replica 0's weight mirror
         # and grad mailbox (``shared`` = that pool's ``shared_handles``);
         # each still owns its own rings.  ``replica`` selects this pool's
@@ -1262,72 +468,39 @@ class ProcessWorkerPool(_WorkerPoolBase):
         self.mailbox: SharedGradMailbox | None = None
         self._rings: list[ShmRing] = []
         self._conns = []
-        self._procs = []
         base = f"pm{os.getpid():x}{os.urandom(3).hex()}"
-        self._base = base
         try:
-            stage_shapes = [[tuple(p.shape) for p in s.params] for s in stages]
-            history = plan.history
             if shared is None:
+                self._wname, self._mbname = f"{base}w", f"{base}mb"
                 self.mirror = SharedWeightMirror(
-                    f"{base}w", stage_shapes, history, plan.corrector is not None,
-                    create=True,
+                    self._wname, self._stage_shapes, plan.history,
+                    plan.corrector is not None, create=True,
                 )
                 self.mirror.sync_from_store(
                     plan.store, plan.corrector, versions=plan.resolvable_versions()
                 )
                 self.mailbox = SharedGradMailbox(
-                    f"{base}mb", stage_shapes, create=True, num_replicas=num_replicas
+                    self._mbname, self._stage_shapes, create=True,
+                    num_replicas=num_replicas,
                 )
-                self._wname, self._mbname = f"{base}w", f"{base}mb"
             else:
                 self.mirror, self.mailbox, self._wname, self._mbname = shared
             # One aborted step can leave up to N unconsumed messages in a
             # ring; 2N slots let the next step proceed while recv discards
             # the residue.
-            slots = max(2 * num_microbatches, 2)
+            slots = max(2 * plan.num_microbatches, 2)
             for e in graph.cross_edges():
                 for tag in ("a", "r", "g"):
                     self._rings.append(
-                        ShmRing(
-                            f"{base}{tag}{e.index}", slots=slots,
-                            slot_bytes=transport_slot_bytes, create=True,
-                        )
+                        ShmRing(f"{base}{tag}{e.index}", slots=slots, create=True)
                     )
             ctx = multiprocessing.get_context(start_method or _default_start_method())
             self._done = ctx.Queue()
-            init = {
-                "base": base,
-                "wname": self._wname,
-                "mbname": self._mbname,
-                "replica": replica,
-                "num_replicas": num_replicas,
-                "k": k,
-                "slots": slots,
-                "num_microbatches": num_microbatches,
-                "stage_shapes": stage_shapes,
-                "stage_names": [list(s.names) for s in stages],
-                "edges": graph.edge_spec(),
-                "resolver_spec": plan.resolver_spec(),
-                "model_spec": model_spec,
-                "granularity": granularity,
-                "max_workers": max_workers,
-                "loss_pickle": pickle.dumps(loss_fn),
-                "deadlock_timeout": deadlock_timeout,
-                "fuse_waves": fuse_waves,
-                # Seed each replica with the driver's *current* persistent
-                # state (BatchNorm running stats): a factory spec rebuilds a
-                # fresh model, whose pristine stats must not clobber stats
-                # that already evolved driver-side.
-                "pstate": [
-                    w.persistent_state() if w.has_persistent_state() else None
-                    for w in graph.workers
-                ],
-            }
-            # External model inputs are routed per step to exactly the
-            # workers whose graph segments consume them.
-            self._ext_needs = [graph.ext_needs(w) for w in range(k)]
             for w in range(k):
+                init = self._worker_init(
+                    w, base=base, slots=slots, wname=self._wname,
+                    mbname=self._mbname, replica=replica, num_replicas=num_replicas,
+                )
                 recv_end, send_end = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_process_worker_main,
@@ -1339,46 +512,24 @@ class ProcessWorkerPool(_WorkerPoolBase):
                 recv_end.close()  # worker's end; driver keeps the sender
                 self._conns.append(send_end)
                 self._procs.append(proc)
-            self._await_ready(k)
+            self._await_ready(range(k), max(120.0, done_grace))
         except BaseException:
             self.close()
             raise
 
-    def _await_ready(self, k: int) -> None:
-        """Block until every worker rebuilt its slice and attached the
-        transport, so spec/partition mismatches fail at construction."""
-        ready = 0
-        deadline = time.perf_counter() + max(120.0, self.done_grace)
-        while ready < k:
-            try:
-                w, _, kind, _, _, _, payload = self._done.get(timeout=0.2)
-            except queue.Empty:
-                dead = self._peer_failure()
-                if dead is not None:
-                    raise PipelineDeadlockError(
-                        f"process worker failed to start: {dead}"
-                    ) from None
-                if time.perf_counter() > deadline:
-                    raise PipelineDeadlockError(
-                        "process workers did not come up in time"
-                    ) from None
-                continue
-            if kind == "init_error":
-                raise payload
-            if kind == "ready":
-                ready += 1
-
-    def _peer_failure(self) -> str | None:
-        for proc in self._procs:
-            if not proc.is_alive() and proc.exitcode != 0:
-                return (
-                    f"pipeline worker {proc.name} died with exit code "
-                    f"{proc.exitcode} before reporting back"
-                )
-        return None
-
     def _get_done(self, timeout: float):
-        return self._done.get(timeout=timeout)
+        return self._done.get(timeout=timeout)[1]
+
+    def _send(self, w: int, cmd: tuple) -> None:
+        try:
+            self._conns[w].send(cmd)
+        except OSError as exc:
+            # The worker's end of the pipe is gone — it died between steps.
+            # Same contract as a mid-step death: wedge the pool.
+            self.wedged = True
+            raise PipelineDeadlockError(
+                f"pipeline worker {w} is gone ({exc}); build a fresh runtime"
+            ) from None
 
     @property
     def shared_handles(self) -> tuple:
@@ -1387,49 +538,16 @@ class ProcessWorkerPool(_WorkerPoolBase):
         ``shared`` constructor argument (see :class:`ReplicaGroup`)."""
         return (self.mirror, self.mailbox, self._wname, self._mbname)
 
-    def issue(self, t, sync, ext, ys, scales, num_microbatches) -> int:
-        k = self.num_workers
-        self._seq += 1
-        self._issued.append(self._seq)
-        for w, conn in enumerate(self._conns):
-            try:
-                conn.send((
-                    self._seq,
-                    t,
-                    sync,
-                    scales,
-                    {i: ext[i] for i in self._ext_needs[w]},
-                    ys if w == k - 1 else None,
-                ))
-            except OSError as exc:
-                # The worker's end of the pipe is gone — it died between
-                # steps.  Same contract as a mid-step death: wedge the pool.
-                self.wedged = True
-                raise PipelineDeadlockError(
-                    f"pipeline worker {w} is gone ({exc}); build a fresh runtime"
-                ) from None
-        return self._seq
-
     def collect(self) -> _StepResult:
-        k = self.num_workers
-        seq = self._issued.popleft()
-        busys, xfers, stalls, extras = self._collect(seq)
-        losses, _, _ = extras[k - 1]
-        for w, (_, pstate, _) in extras.items():
-            if pstate is not None:
-                self.driver_workers[w].load_persistent_state(pstate)
-        lanes = [unpack_lanes(extras[w][2]) for w in range(k)]
-        blocks = sum(len(l) for l in lanes)
+        seq = self._issued[0]
+        result = super().collect()
         # Workers stamped their stage blocks after writing; a mismatch
         # would mean a block was overwritten before this fold read it.
         self.mailbox.check_stamps(seq, self.replica)
         for s, stage in enumerate(self.stages):
             for pos, p in enumerate(stage.params):
                 p.grad[...] = self.mailbox.read(s, pos, seq, self.replica)
-        return _StepResult(
-            losses=list(losses), busy=busys, transport=xfers, stall=stalls,
-            commands=blocks, reports=blocks, lanes=lanes,
-        )
+        return result
 
     def publish_plan_state(self) -> None:
         # Velocity first: the version-header bump below is the release the
@@ -1451,18 +569,8 @@ class ProcessWorkerPool(_WorkerPoolBase):
                 self.plan.corrector,
                 versions=self.plan.resolvable_versions(),
             )
-        # Push driver-side persistent state (e.g. restored BatchNorm running
-        # stats) down to the worker replicas; the pipe is FIFO, so workers
-        # apply it before any subsequent step command.
-        for w, (conn, compute) in enumerate(zip(self._conns, self.driver_workers)):
-            if compute.has_persistent_state():
-                try:
-                    conn.send(("__pstate__", compute.persistent_state()))
-                except OSError as exc:
-                    self.wedged = True
-                    raise PipelineDeadlockError(
-                        f"pipeline worker {w} is gone ({exc}); build a fresh runtime"
-                    ) from None
+        for w in range(len(self._conns)):  # none once the workers are stopped
+            self._push_pstate(w)
 
     def stop_workers(self) -> None:
         """Stop the worker processes and close their command pipes,
@@ -1472,22 +580,12 @@ class ProcessWorkerPool(_WorkerPoolBase):
         owns the group's shared mirror and mailbox), so segment release
         must wait for :meth:`close`.  Idempotent."""
         for conn in self._conns:
-            try:
-                conn.send(None)
-            except Exception:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=2.0)
+            with contextlib.suppress(Exception):
+                conn.send(("shutdown",))
+        reap(self._procs)
         for conn in self._conns:
-            try:
+            with contextlib.suppress(Exception):
                 conn.close()
-            except Exception:
-                pass
         self._conns = []
         self._procs = []
 
@@ -1690,6 +788,7 @@ class ReplicaGroup:
         self._retired = []
 
 
+
 class AsyncPipelineRuntime(PipelineBackend):
     """Event-driven multi-worker pipeline backend.
 
@@ -1730,16 +829,16 @@ class AsyncPipelineRuntime(PipelineBackend):
         the step is aborted with :class:`PipelineDeadlockError` — a wedged
         pipe fails fast instead of hanging.
     model_spec:
-        Process backend only: picklable
+        Process and socket backends: picklable
         :class:`~repro.pipeline.stage_compute.ModelSpec` each worker
         rebuilds its slice from.  Defaults to a pickled snapshot of
         ``model`` (``ModelSpec.from_model``) partitioned into
         ``len(stages)`` stages.
-    start_method, transport_slot_bytes, done_grace:
-        Process-backend tuning: multiprocessing start method (default fork
-        where available), initial ring-slot capacity (rings grow on
-        demand), and the extra driver-side wait beyond ``deadlock_timeout``
-        before a silent worker wedges the runtime.
+    start_method, done_grace:
+        Process/socket-backend tuning: multiprocessing start method
+        (default fork where available) and the extra driver-side wait
+        beyond ``deadlock_timeout`` before a silent worker wedges the
+        runtime.
     num_replicas:
         R pipeline replicas for hybrid data × pipeline parallelism — a
         :class:`ReplicaGroup` of R worker pools behind the one scheduler
@@ -1785,7 +884,6 @@ class AsyncPipelineRuntime(PipelineBackend):
         fuse_waves: bool | None = None,
         model_spec: ModelSpec | None = None,
         start_method: str | None = None,
-        transport_slot_bytes: int = 1 << 16,
         done_grace: float = 10.0,
         granularity: str = "layer",
         max_workers: int | None = None,
@@ -1850,8 +948,8 @@ class AsyncPipelineRuntime(PipelineBackend):
         # the same tuning the original pools were (see rejoin_replica).
         self._done_grace = done_grace
         self._start_method = start_method
-        self._transport_slot_bytes = transport_slot_bytes
-        self._model_spec0: ModelSpec | None = None
+        self._net_options = net_options or {}
+        self._model_spec0 = model_spec
         self.graph: WorkerGraph = build_worker_graph(
             model, stages, granularity=granularity, max_workers=max_workers
         )
@@ -1896,91 +994,20 @@ class AsyncPipelineRuntime(PipelineBackend):
             total_transport=[0.0] * kt,
         )
         self._closed = False
+        if backend == "socket" and num_replicas != 1:
+            raise ValueError("socket backend does not support num_replicas > 1 yet")
+        if backend != "thread" and model_spec is None:
+            self._model_spec0 = ModelSpec.from_model(
+                model, num_stages=len(stages), plan=partition_plan
+            )
         pools: list[_WorkerPoolBase] = []
         try:
-            if backend == "process":
-                spec0 = (
-                    model_spec
-                    if model_spec is not None
-                    else ModelSpec.from_model(
-                        model, num_stages=len(stages), plan=partition_plan
-                    )
-                )
-                self._model_spec0 = spec0
-                for r in range(num_replicas):
-                    rep = None if r == 0 else self.replica_plan.replicas[r - 1]
-                    pools.append(
-                        ProcessWorkerPool(
-                            graph=self.replica_graphs[r],
-                            plan=self.plan,
-                            stages=stages if rep is None else rep.stages,
-                            loss_fn=loss_fn if rep is None else rep.loss_fn,
-                            model_spec=spec0 if r == 0 else spec0.for_replica(r),
-                            num_microbatches=n,
-                            deadlock_timeout=deadlock_timeout,
-                            done_grace=done_grace,
-                            start_method=start_method,
-                            transport_slot_bytes=transport_slot_bytes,
-                            granularity=granularity,
-                            max_workers=max_workers,
-                            replica=r,
-                            num_replicas=num_replicas,
-                            shared=None if r == 0 else pools[0].shared_handles,
-                            fuse_waves=self.fuse_waves,
-                        )
-                    )
-            elif backend == "socket":
-                # Lazy import: net.py imports this module at its top, so the
-                # dependency must point this way only when actually used.
-                from repro.pipeline.net import SocketWorkerPool
-
-                if num_replicas != 1:
-                    raise ValueError(
-                        "socket backend does not support num_replicas > 1 yet"
-                    )
-                spec0 = (
-                    model_spec
-                    if model_spec is not None
-                    else ModelSpec.from_model(
-                        model, num_stages=len(stages), plan=partition_plan
-                    )
-                )
-                pools.append(
-                    SocketWorkerPool(
-                        graph=self.graph,
-                        plan=self.plan,
-                        stages=stages,
-                        loss_fn=loss_fn,
-                        model_spec=spec0,
-                        num_microbatches=n,
-                        deadlock_timeout=deadlock_timeout,
-                        done_grace=done_grace,
-                        granularity=granularity,
-                        max_workers=max_workers,
-                        start_method=start_method,
-                        fuse_waves=self.fuse_waves,
-                        **(net_options or {}),
-                    )
-                )
-            else:
-                for r in range(num_replicas):
-                    rep = None if r == 0 else self.replica_plan.replicas[r - 1]
-                    pools.append(
-                        ThreadWorkerPool(
-                            self.replica_graphs[r],
-                            self.plan,
-                            loss_fn if rep is None else rep.loss_fn,
-                            deadlock_timeout,
-                            done_grace,
-                            fuse_waves=self.fuse_waves,
-                        )
-                    )
+            for r in range(num_replicas):
+                pools.append(self._build_pool(r, pools[0] if r else None))
         except BaseException:
             for p in pools:
-                try:
+                with contextlib.suppress(Exception):
                     p.close()
-                except Exception:
-                    pass
             raise
         # The scheduler drives the group; ``pool`` stays the replica-0 pool
         # for introspection (at R = 1 the group is a thin dispatch around
@@ -1992,6 +1019,37 @@ class AsyncPipelineRuntime(PipelineBackend):
     @property
     def num_workers(self) -> int:
         return len(self.workers)
+
+    def _build_pool(self, r: int, owner: _WorkerPoolBase | None) -> _WorkerPoolBase:
+        """Replica ``r``'s worker pool on this runtime's backend; process
+        replica pools attach the shared mirror and mailbox of ``owner``
+        (replica 0's pool)."""
+        rep = None if r == 0 else self.replica_plan.replicas[r - 1]
+        loss_fn = self.loss_fn if rep is None else rep.loss_fn
+        if self.backend == "thread":
+            return ThreadWorkerPool(
+                self.replica_graphs[r], self.plan, loss_fn,
+                self.deadlock_timeout, self._done_grace, fuse_waves=self.fuse_waves,
+            )
+        common = dict(
+            graph=self.replica_graphs[r],
+            plan=self.plan,
+            stages=self.plan.stages if rep is None else rep.stages,
+            loss_fn=loss_fn,
+            model_spec=self._model_spec0.for_replica(r) if r else self._model_spec0,
+            deadlock_timeout=self.deadlock_timeout,
+            done_grace=self._done_grace,
+            start_method=self._start_method,
+            granularity=self.granularity,
+            max_workers=self.max_workers,
+            fuse_waves=self.fuse_waves,
+        )
+        if self.backend == "socket":
+            return SocketWorkerPool(**common, **self._net_options)
+        return ProcessWorkerPool(
+            **common, replica=r, num_replicas=self.num_replicas,
+            shared=None if owner is None else owner.shared_handles,
+        )
 
     # -- training ---------------------------------------------------------------
     def train_step(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -2301,41 +1359,8 @@ class AsyncPipelineRuntime(PipelineBackend):
                 "fresh runtime"
             )
         self.sync()
+        pool = self._build_pool(r, group.pools[0])
         rep = None if r == 0 else self.replica_plan.replicas[r - 1]
-        if self.backend == "process":
-            spec0 = self._model_spec0
-            pool = ProcessWorkerPool(
-                graph=self.replica_graphs[r],
-                plan=self.plan,
-                stages=self.plan.stages if rep is None else rep.stages,
-                loss_fn=self.loss_fn if rep is None else rep.loss_fn,
-                model_spec=spec0 if r == 0 else spec0.for_replica(r),
-                num_microbatches=self.plan.num_microbatches,
-                deadlock_timeout=self.deadlock_timeout,
-                done_grace=self._done_grace,
-                start_method=self._start_method,
-                transport_slot_bytes=self._transport_slot_bytes,
-                granularity=self.granularity,
-                max_workers=self.max_workers,
-                replica=r,
-                num_replicas=self.num_replicas,
-                shared=group.pools[0].shared_handles,
-                fuse_waves=self.fuse_waves,
-            )
-        elif self.backend == "thread":
-            pool = ThreadWorkerPool(
-                self.replica_graphs[r],
-                self.plan,
-                self.loss_fn if rep is None else rep.loss_fn,
-                self.deadlock_timeout,
-                self._done_grace,
-                fuse_waves=self.fuse_waves,
-            )
-        else:
-            raise ValueError(
-                f"rejoin_replica is not supported on the {self.backend!r} "
-                f"backend"
-            )
         # Lockstep: the new pool must tag its first step with the same
         # sequence number the survivors will (the shared-mailbox parity
         # contract keys off this).

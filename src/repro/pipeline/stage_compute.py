@@ -369,24 +369,6 @@ class ModelSpec:
             factory = getattr(importlib.import_module(mod_name), attr)
         return factory(*self.args, **dict(self.kwargs))
 
-    def to_wire(self) -> bytes:
-        """The spec as one opaque byte blob for the socket runtime's init
-        frame.  Process workers get the live object through the fork/spawn
-        pickle machinery; socket workers may sit across a real link, so the
-        spec crosses as explicit bytes — same pickle payload, but the
-        boundary (and its size) is visible and testable."""
-        return pickle.dumps(self)
-
-    @staticmethod
-    def from_wire(blob: bytes) -> "ModelSpec":
-        spec = pickle.loads(blob)
-        if not isinstance(spec, ModelSpec):
-            raise TypeError(
-                f"model-spec wire blob decoded to {type(spec).__name__}, "
-                f"not ModelSpec"
-            )
-        return spec
-
     def build(self):
         """Construct ``(model, stages)`` — the worker-side mirror of the
         driver's partition (plan-based when a :class:`PartitionPlan` is

@@ -1,4 +1,11 @@
-"""Shared-memory transport for the multi-process pipeline backend.
+"""Channel sets for the worker loop, and the shared-memory transport.
+
+:class:`Channels` is the seam :mod:`repro.pipeline.worker` is parameterised
+by — step-tagged ``send``/``recv`` per cross-worker edge and payload kind,
+with the stale-tag discard loop written once.  :class:`QueueChannels`
+(threads) and :class:`RingChannels` (processes) live here; the socket
+sibling is in :mod:`repro.pipeline.net`.  The rest of this module is the
+shared-memory machinery under :class:`RingChannels`.
 
 Process workers cannot share ``Parameter`` objects or Python queues the way
 the thread backend does, so everything that crosses a process boundary per
@@ -68,6 +75,7 @@ transport) on such hosts.
 from __future__ import annotations
 
 import platform
+import queue
 import time
 import warnings
 from multiprocessing import shared_memory
@@ -668,6 +676,187 @@ class ShmRing:
                 pass
         unlink_quietly(self._data)
         unlink_quietly(self._ctl)
+
+
+# -- channel sets ---------------------------------------------------------------
+
+
+class Channels:
+    """One worker's channel set: ``send(kind, edge, payload)`` /
+    ``recv(kind, edge)`` of step-tagged payloads, one channel per
+    cross-worker edge and payload kind ("act", "rec", "grad") — the seam the
+    worker loop (:mod:`repro.pipeline.worker`) is parameterised by.
+
+    Every message carries the driver's step sequence.  A tag other than the
+    step being run (``self.step``, set by the worker per step command) is
+    residue from an aborted step and is discarded on receive, so channels
+    self-heal after an error without any flush handshake.  Subclasses
+    implement ``send`` and ``_recv_tagged``; the pin/reserve surface of the
+    zero-copy ring transport defaults to no-ops for transports that hand
+    payloads off by reference or by copy.
+    """
+
+    can_reserve = False
+
+    def __init__(self, timeout: float):
+        self._timeout = timeout
+        self.step = 0
+
+    def xfer_seconds(self) -> float:
+        """Cumulative seconds this worker spent moving payload bytes."""
+        return 0.0
+
+    def _recv_tagged(self, kind: str, edge: int, timeout: float):
+        """``(tag, payload, pin)`` of the next message on one channel, or
+        :class:`TransportTimeout`; ``pin`` is ``None`` unless the payload
+        still occupies transport memory (see :meth:`_settle`)."""
+        raise NotImplementedError
+
+    def _settle(self, pin, keep: bool) -> None:
+        """Dispose of a non-``None`` pin: hold it for the current wave
+        (``keep``) or release it now (stale message)."""
+
+    def recv(self, kind: str, edge: int):
+        deadline = time.monotonic() + self._timeout
+        while True:
+            try:
+                tag, payload, pin = self._recv_tagged(
+                    kind, edge, max(0.0, deadline - time.monotonic())
+                )
+            except TransportTimeout:
+                raise TransportTimeout(
+                    f"waited >{self._timeout}s for a {kind} payload on edge "
+                    f"{edge} that never arrived"
+                ) from None
+            if pin is not None:
+                self._settle(pin, keep=tag == self.step)
+            if tag == self.step:
+                return payload
+            # stale message from an aborted step — drop and keep looking
+
+    def send(self, kind: str, edge: int, payload) -> None:
+        raise NotImplementedError
+
+    def reserve(self, kind: str, edge: int, shape, dtype):
+        return None
+
+    def begin_wave(self, j: int) -> None:
+        pass
+
+    def release_wave(self, j: int) -> None:
+        pass
+
+    def release_all(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class QueueChannels(Channels):
+    """Thread-backend channel set over in-process queues shared by the
+    pool's workers, keyed ``(kind, edge)``.  Payloads are handed off by
+    reference (arena generation lifetime already covers cross-thread
+    hand-offs), so nothing is pinned and nothing counts as transport."""
+
+    def __init__(self, queues: dict, timeout: float):
+        super().__init__(timeout)
+        self._queues = queues
+
+    def _recv_tagged(self, kind: str, edge: int, timeout: float):
+        try:
+            tag, payload = self._queues[(kind, edge)].get(timeout=timeout)
+        except queue.Empty:
+            raise TransportTimeout("queue empty") from None
+        return tag, payload, None
+
+    def send(self, kind: str, edge: int, payload) -> None:
+        self._queues[(kind, edge)].put((self.step, payload))
+
+
+class RingChannels(Channels):
+    """Process-backend channel set: one shared-memory ring per cross-worker
+    edge and payload kind.
+
+    Received single-array payloads are **zero-copy views** into the ring,
+    pinned (ack deferred) until the consuming microbatch's backward wave
+    finishes: :meth:`recv` files each pin under the wave
+    :meth:`begin_wave` opened, :meth:`release_wave` acks a finished
+    microbatch's pins, and :meth:`release_all` (worker per-step cleanup)
+    drops everything an aborted step left pinned so producers can never
+    starve on unacked slots.  :meth:`reserve` is the send-side twin: a
+    writable view of the next ring slot that lets the producing segment
+    compute straight into the transport (send() publishes it without a
+    copy).  Pin budget: a step pins at most N messages per ring while the
+    rings hold 2N slots, so a producer's slot-free wait can only be on a
+    message the consumer has already released.
+    """
+
+    can_reserve = True
+
+    def __init__(self, rings: dict[tuple[str, int], ShmRing], timeout: float):
+        super().__init__(timeout)
+        self._rings = rings
+        self._wave = 0
+        self._pins: dict[int, list[tuple[ShmRing, object]]] = {}
+
+    def xfer_seconds(self) -> float:
+        return sum(r.xfer_seconds for r in self._rings.values())
+
+    def _recv_tagged(self, kind: str, edge: int, timeout: float):
+        ring = self._rings[(kind, edge)]
+        tag, payload, token = ring.recv_msg_view(timeout)
+        return tag, payload, None if token is None else (ring, token)
+
+    def _settle(self, pin, keep: bool) -> None:
+        if keep:
+            self._pins.setdefault(self._wave, []).append(pin)
+        else:
+            pin[0].release(pin[1])
+
+    def send(self, kind: str, edge: int, payload) -> None:
+        ring = self._rings[(kind, edge)]
+        if ring.commit_if_reserved(payload):
+            return
+        ring.cancel_reserved()
+        ring.send_msg(payload, self.step, self._timeout)
+
+    def reserve(self, kind: str, edge: int, shape, dtype):
+        return self._rings[(kind, edge)].reserve(shape, dtype, self.step, self._timeout)
+
+    def begin_wave(self, j: int) -> None:
+        self._wave = j
+
+    def release_wave(self, j: int) -> None:
+        for ring, token in self._pins.pop(j, []):
+            ring.release(token)
+
+    def release_all(self) -> None:
+        for pins in self._pins.values():
+            for ring, token in pins:
+                ring.release(token)
+        self._pins.clear()
+        for ring in self._rings.values():
+            ring.cancel_reserved()
+
+    def close(self) -> None:
+        self.release_all()
+        for r in self._rings.values():
+            r.close()
+
+
+def worker_rings(graph, w: int, base: str, slots: int) -> dict[tuple[str, int], ShmRing]:
+    """Attach worker ``w``'s ring endpoints: for each cross-worker edge it
+    sits on, activations/recomputes flow src→dst and gradients dst→src."""
+    rings: dict[tuple[str, int], ShmRing] = {}
+    for e in graph.cross_edges():
+        if w not in (e.src_worker, e.dst.worker):
+            continue
+        fwd, bwd = ("recv", "send") if e.dst.worker == w else ("send", "recv")
+        rings[("act", e.index)] = ShmRing(f"{base}a{e.index}", slots=slots, role=fwd)
+        rings[("rec", e.index)] = ShmRing(f"{base}r{e.index}", slots=slots, role=fwd)
+        rings[("grad", e.index)] = ShmRing(f"{base}g{e.index}", slots=slots, role=bwd)
+    return rings
 
 
 # -- coarsened done-report lanes ----------------------------------------------

@@ -30,7 +30,9 @@ def _bounds(values: Iterable[float]) -> tuple[float, float]:
     vals = list(values)
     lo, hi = min(vals), max(vals)
     if lo == hi:  # a flat line still needs a non-degenerate scale
-        pad = 0.5 if lo == 0 else abs(lo) * 0.5
+        # relative pad; absolute where it is zero (lo == 0) or underflows
+        # to zero (subnormal lo)
+        pad = abs(lo) * 0.5 or 0.5
         lo, hi = lo - pad, hi + pad
     return lo, hi
 

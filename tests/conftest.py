@@ -13,6 +13,15 @@ does touch the legacy API cannot leak between tests.
 Explicit model-init seeds inside tests (``np.random.default_rng(7)``) are
 fine: they are self-contained, not shared state.
 
+Leaks
+-----
+The runtime suites (``test_runtime_*``, ``test_elastic_recovery``,
+``test_wave_fusion``, ``test_granularity``) run under the autouse
+``_no_runtime_leaks`` fixture: after every test — including the ones that
+wedge a pool or kill a worker — no child process may be alive, and no new
+``/dev/shm/pm*`` segment or ``pmnet-*`` temp directory may exist.  A leak it
+exposes is a bug in a pool's ``close()``, not something to allow-list.
+
 Timeouts
 --------
 ``@pytest.mark.timeout(seconds)`` is honored even without the
@@ -23,7 +32,12 @@ queue hang CI forever.
 
 from __future__ import annotations
 
+import gc
+import glob
+import multiprocessing
+import os
 import signal
+import tempfile
 import threading
 
 import numpy as np
@@ -52,6 +66,37 @@ def _isolate_global_rng():
     state = np.random.get_state()
     yield
     np.random.set_state(state)
+
+
+_LEAK_CHECKED_MODULES = (
+    "test_runtime_", "test_elastic_recovery", "test_wave_fusion", "test_granularity",
+)
+
+
+def _runtime_residue() -> set[str]:
+    shm = glob.glob("/dev/shm/pm*")
+    return set(shm) | set(glob.glob(os.path.join(tempfile.gettempdir(), "pmnet-*")))
+
+
+@pytest.fixture(autouse=True)
+def _no_runtime_leaks(request):
+    """After each runtime-suite test: no worker process alive, no new
+    shared-memory segment, no new socket directory (see module docstring)."""
+    if not request.module.__name__.startswith(_LEAK_CHECKED_MODULES):
+        yield
+        return
+    before = _runtime_residue()
+    yield
+    alive = multiprocessing.active_children()  # also reaps the exited ones
+    if alive or _runtime_residue() - before:
+        gc.collect()  # a runtime the test never closed releases in __del__
+        alive = multiprocessing.active_children()
+    leaked = sorted(_runtime_residue() - before)
+    for proc in alive:  # leave nothing behind for the next test either way
+        proc.kill()
+        proc.join(5.0)
+    assert not alive, f"worker processes outlived the test: {[p.name for p in alive]}"
+    assert not leaked, f"runtime left segments/directories behind: {leaked}"
 
 
 def pytest_configure(config):

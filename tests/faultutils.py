@@ -1,8 +1,8 @@
 """Fault-injection harness for the concurrent runtimes.
 
-The runtime exposes one test seam: ``repro.pipeline.runtime._channel_hook``
-wraps every worker-side channel object (thread queues, shared-memory
-rings, socket transports) before the worker uses it.  This module provides
+The worker loop exposes one test seam: ``repro.pipeline.worker._channel_hook``
+wraps every worker's channel set (thread queues, shared-memory rings,
+socket transports) before the worker uses it.  This module provides
 the wrapper: a :class:`FaultSpec` of :class:`FaultRule` entries that fire
 at exact ``(worker, op, kind, edge, microbatch, step)`` coordinates —
 dropping a payload, delaying it, duplicating it with a stale step tag,
@@ -24,12 +24,13 @@ Usage::
 
     spec = FaultSpec([FaultRule(op="send", action="drop", worker=1,
                                 kind="act", step=2)])
-    monkeypatch.setattr(runtime, "_channel_hook", spec.wrap)
+    monkeypatch.setattr(worker, "_channel_hook", spec.wrap)
     # ... build the runtime (fork inherits the hook), run steps ...
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -56,8 +57,8 @@ class FaultRule:
         must be absorbed bit-exactly.
     ``dup``
         send twice, the first copy tagged with the *previous* step
-        sequence — exercises the stale-tag discard on ring and socket
-        channels (thread queues are untagged; do not use dup there).
+        sequence — exercises the stale-tag discard every channel set
+        shares.
     ``disconnect``
         close the underlying socket for this channel, then attempt the
         send — raises ``TransportClosed`` in the worker (socket only).
@@ -87,14 +88,9 @@ class FaultSpec:
 
     def __init__(self, rules: list[FaultRule]):
         self.rules = rules
-        # Thread channels are built fresh per step and carry no step tag;
-        # wrap order per worker tracks the driver's issue sequence exactly.
-        self._wraps_per_worker: dict[int, int] = {}
 
     def wrap(self, chans, w: int):
-        seq = self._wraps_per_worker.get(w, 0) + 1
-        self._wraps_per_worker[w] = seq
-        return FaultyChannels(chans, w, self.rules, seq)
+        return FaultyChannels(chans, w, self.rules)
 
 
 class FaultyChannels:
@@ -108,11 +104,10 @@ class FaultyChannels:
 
     can_reserve = False
 
-    def __init__(self, inner, w: int, rules: list[FaultRule], wrap_seq: int):
+    def __init__(self, inner, w: int, rules: list[FaultRule]):
         self._inner = inner
         self._w = w
         self._rules = rules
-        self._wrap_seq = wrap_seq
         self._wave = None
 
     # -- coordinates -----------------------------------------------------------
@@ -125,12 +120,11 @@ class FaultyChannels:
         self._inner.step = value
 
     def _seq(self) -> int:
-        # Ring/socket channels carry the driver's step tag; thread channels
-        # exist for exactly one step, identified at wrap time.
-        return getattr(self._inner, "step", None) or self._wrap_seq
+        return self._inner.step  # the driver's step tag, set per step command
 
     def _thread_backend(self) -> bool:
-        return not hasattr(self._inner, "step")
+        # Thread workers live in the driver (pytest) process itself.
+        return multiprocessing.parent_process() is None
 
     def _fire(self, op: str, kind: str, edge: int) -> FaultRule | None:
         for rule in self._rules:

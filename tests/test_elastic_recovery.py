@@ -50,7 +50,7 @@ from repro.pipeline import (
     WorkerLostError,
     partition_model,
 )
-from repro.pipeline import runtime as runtime_mod
+from repro.pipeline import worker as worker_mod
 from repro.pipeline.executor import param_groups_from_stages
 from repro.pipeline.registry import Backoff
 from repro.train import PipelineTrainer
@@ -88,7 +88,7 @@ def build(backend, seed=7, replicas=1, **kw):
 
 def install(monkeypatch, rules):
     spec = FaultSpec(rules)
-    monkeypatch.setattr(runtime_mod, "_channel_hook", spec.wrap)
+    monkeypatch.setattr(worker_mod, "_channel_hook", spec.wrap)
     return spec
 
 
@@ -305,12 +305,12 @@ class TestReplicaDegradation:
 
     @pytest.mark.timeout(180)
     def test_thread_replica_loss_degrades_bit_exact(self, rng, tmp_path):
-        # A thread cannot be killed; feeding the command queues the stop
-        # sentinel makes the pool permanently silent — the same wedge a
-        # crashed replica produces.
+        # A thread cannot be killed; feeding the command queues the
+        # shutdown command makes the pool permanently silent — the same
+        # wedge a crashed replica produces.
         self._degrade_and_compare(
             "thread",
-            lambda rt: [cq.put(None) for cq in rt.group.pools[1]._cmd],
+            lambda rt: [cq.put(("shutdown",)) for cq in rt.group.pools[1]._cmd],
             rng, tmp_path, deadlock_timeout=1.0, done_grace=2.0,
         )
 
@@ -332,7 +332,7 @@ class TestReplicaDegradation:
         with rt:
             [rt.train_step(*batch(i)) for i in range(2)]
             for cq in rt.group.pools[1]._cmd:
-                cq.put(None)
+                cq.put(("shutdown",))
             with pytest.raises(PipelineDeadlockError):
                 rt.train_step(*batch(2))
             assert rt.group.active == [0]

@@ -228,6 +228,36 @@ class TestTransport:
                 assert_same_array(got, want)
         assert ta.xfer_seconds > 0 and tb.xfer_seconds > 0
 
+    def test_recv_idle_wait_is_not_transport_time(self, rng, pair):
+        """Regression: the receive clock used to start before the blocking
+        wait for the peer, so a receiver idling on a quiet producer booked
+        the whole wait as transport — the bubble showed up in
+        ``transport_fraction``.  The clock starts when the frame header
+        arrives, matching ShmRing (which times after its slot wait)."""
+        import threading
+        import time
+
+        ta, tb = pair
+        src = rng.normal(size=(4, 4))
+
+        def late_sender():
+            time.sleep(0.2)
+            ta.send_msg(src, step=1, timeout=5.0)
+
+        sender = threading.Thread(target=late_sender)
+        sender.start()
+        t0 = time.perf_counter()
+        step, out = tb.recv_msg(timeout=5.0)
+        waited = time.perf_counter() - t0
+        sender.join(timeout=5.0)
+        assert not sender.is_alive()
+        assert step == 1
+        assert_same_array(out, src)
+        assert waited >= 0.15, "receiver did not actually idle on the producer"
+        assert 0.0 < tb.xfer_seconds < 0.05, (
+            f"idle wait booked as transport: xfer_seconds={tb.xfer_seconds:.3f}"
+        )
+
     def test_obj_roundtrip(self, pair):
         ta, tb = pair
         ta.send_obj(("hello", 3, {"a": [1, 2]}), timeout=5.0)

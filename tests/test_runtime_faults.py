@@ -40,7 +40,7 @@ from repro.pipeline import (
     WorkerRegistry,
     partition_model,
 )
-from repro.pipeline import runtime as runtime_mod
+from repro.pipeline import worker as worker_mod
 from repro.pipeline.executor import param_groups_from_stages
 from repro.pipeline.registry import Backoff
 
@@ -77,7 +77,7 @@ def install(monkeypatch, rules):
     """Install a fault spec on the channel hook; with the fork start
     method the workers of any pool built afterwards inherit it."""
     spec = FaultSpec(rules)
-    monkeypatch.setattr(runtime_mod, "_channel_hook", spec.wrap)
+    monkeypatch.setattr(worker_mod, "_channel_hook", spec.wrap)
     return spec
 
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.viz import bar_chart, format_table, heatmap, line_plot, sparkline
@@ -77,6 +77,7 @@ class TestLinePlot:
             max_size=50,
         )
     )
+    @example(ys=[5e-324])  # flat subnormal series: the relative pad underflows
     @settings(max_examples=50, deadline=None)
     def test_any_finite_series_renders(self, ys):
         out = line_plot({"s": (list(range(len(ys))), ys)})

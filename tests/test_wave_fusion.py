@@ -250,7 +250,7 @@ class TestAffineCompilation:
             deadlock_timeout=TIMEOUT,
         )
         with rt:
-            from repro.pipeline.runtime import _build_programs
+            from repro.pipeline.worker import _build_programs
 
             raw = _build_programs(
                 rt.plan.method, rt.num_workers, rt.plan.num_microbatches,

@@ -40,11 +40,14 @@ class ReLU(Module):
         np.maximum(x, 0.0, out=out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """``grad_out * mask``.  A multiply, not a masked copy: a NaN/inf
+        gradient under a closed mask propagates as NaN instead of being
+        zeroed, for the same reason as the forward — divergence must stay
+        visible."""
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         g = arena.empty(grad_out.shape, np.result_type(grad_out, 0.0))
-        g.fill(0.0)
-        np.copyto(g, grad_out, where=self._mask)
+        np.multiply(grad_out, self._mask, out=g)
         return g
 
 

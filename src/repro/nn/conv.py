@@ -1,4 +1,4 @@
-"""2-D convolution via im2col."""
+"""2-D convolution via im2col and batched BLAS GEMMs."""
 
 from __future__ import annotations
 
@@ -15,6 +15,12 @@ class Conv2d(Module):
     Weight shape ``(C_out, C_in, KH, KW)``.  As everywhere in this framework
     the input gradient is computed with the weights at *backward* time while
     the weight gradient uses the cached forward unfolding.
+
+    With ``K = C_in*KH*KW`` and ``P = OH*OW`` the three contractions are
+    ``np.matmul`` calls, one BLAS GEMM per batch element: forward
+    ``(C_out,K) @ (B,K,P)``, weight grad ``sum_b (C_out,P) @ (P,K)`` and
+    column grad ``(K,C_out) @ (B,C_out,P)``.  The unfolded buffers are
+    plainly allocated, never arena slabs (see :func:`repro.nn.functional.im2col`).
     """
 
     def __init__(
@@ -55,9 +61,9 @@ class Conv2d(Module):
         self._out_hw = (oh, ow)
         w2 = self.weight.data.reshape(self.out_channels, -1)
         # (B, C_out, OH*OW) = (C_out, K) @ (B, K, OH*OW)
-        y = np.einsum("ok,bkp->bop", w2, cols)
+        y = np.matmul(w2, cols)
         if self.use_bias:
-            y = y + self.bias.data[None, :, None]
+            y += self.bias.data[:, None]
         return y.reshape(x.shape[0], self.out_channels, oh, ow)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -66,11 +72,11 @@ class Conv2d(Module):
         B = grad_out.shape[0]
         g2 = grad_out.reshape(B, self.out_channels, -1)
         # weight grad from cached forward unfolding
-        dw = np.einsum("bop,bkp->ok", g2, self._cols)
+        dw = np.matmul(g2, self._cols.transpose(0, 2, 1)).sum(axis=0)
         self.weight.grad += dw.reshape(self.weight.data.shape)
         if self.use_bias:
             self.bias.grad += g2.sum(axis=(0, 2))
         # input grad uses backward-time weights
         w2 = self.weight.data.reshape(self.out_channels, -1)
-        dcols = np.einsum("ok,bop->bkp", w2, g2)
+        dcols = np.matmul(w2.T, g2)
         return F.col2im(dcols, self._x_shape, self.kernel_size, self.stride, self.padding)

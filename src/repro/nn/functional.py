@@ -114,7 +114,10 @@ def im2col(
     OH = conv_output_size(H, KH, stride, padding)
     OW = conv_output_size(W, KW, stride, padding)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        padded = np.zeros((B, C, H + 2 * padding, W + 2 * padding), x.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = x
+        x = padded
+    # x's own strides, so a non-contiguous caller array is unfolded in place
     sB, sC, sH, sW = x.strides
     view = np.lib.stride_tricks.as_strided(
         x,
@@ -122,8 +125,12 @@ def im2col(
         strides=(sB, sC, sH, sW, sH * stride, sW * stride),
         writeable=False,
     )
-    cols = view.reshape(B, C * KH * KW, OH * OW)
-    return np.ascontiguousarray(cols), (OH, OW)
+    # Plainly allocated, not arena.empty: an arena never reuses a slab within
+    # a step, so every (microbatch x conv) unfolding would stay resident for
+    # two generations (docs/ARCHITECTURE.md, "Conv kernels").
+    cols = np.empty((B, C * KH * KW, OH * OW), x.dtype)
+    np.copyto(cols.reshape(B, C, KH, KW, OH, OW), view)
+    return cols, (OH, OW)
 
 
 def col2im(

@@ -21,10 +21,14 @@ from repro.nn.module import Module, Parameter
 def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalise over the last axis; returns (xhat, ivar)."""
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat = arena.empty(x.shape, np.result_type(x, ivar))
+    xhat = arena.empty(x.shape, np.result_type(x, mean))
     np.subtract(x, mean, out=xhat)
+    # var = mean((x - mean)^2), the arithmetic np.var performs, without
+    # np.var's second pass over x for a mean we already have
+    sq = np.multiply(xhat, xhat)
+    var = sq.sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
+    ivar = 1.0 / np.sqrt(var + eps)
     np.multiply(xhat, ivar, out=xhat)
     return xhat, ivar
 
@@ -112,19 +116,24 @@ class GroupNorm(Module):
         xg = x.reshape(B, self.num_groups, -1)
         xhat, ivar = _normalize(xg, self.eps)
         self._cache = (xhat, ivar, x.shape)
-        xhat4 = xhat.reshape(B, C, H, W)
-        return xhat4 * self.weight.data[None, :, None, None] + self.bias.data[None, :, None, None]
+        # y and backward's t are plain allocations, not arena slabs: a slab
+        # stays resident for two generations, which per (microbatch x norm)
+        # is 60 MiB of peak_rss_mb on resnet_conv (docs/ARCHITECTURE.md)
+        y = np.multiply(xhat.reshape(B, C, H, W), self.weight.data[:, None, None])
+        np.add(y, self.bias.data[:, None, None], out=y)
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         xhat, ivar, x_shape = self._cache
         B, C, H, W = x_shape
-        xhat4 = xhat.reshape(B, C, H, W)
-        self.weight.grad += (grad_out * xhat4).sum(axis=(0, 2, 3))
+        t = np.multiply(grad_out, xhat.reshape(B, C, H, W))
+        self.weight.grad += t.sum(axis=(0, 2, 3))
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        dxhat = (grad_out * self.weight.data[None, :, None, None]).reshape(B, self.num_groups, -1)
-        dx = _normalize_backward(dxhat, xhat, ivar)
+        # t's reduction is consumed; reuse it for dxhat
+        np.multiply(grad_out, self.weight.data[:, None, None], out=t)
+        dx = _normalize_backward(t.reshape(B, self.num_groups, -1), xhat, ivar)
         return dx.reshape(B, C, H, W)
 
 

@@ -1,7 +1,8 @@
 """Arena-reuse safety: recycled slabs must never leak stale values.
 
-The kernels in ``repro.nn`` allocate every intermediate through
-:func:`repro.nn.arena.empty`.  A slab recycled too early — while a
+Most kernels in ``repro.nn`` allocate their activation-sized arrays through
+:func:`repro.nn.arena.empty` (convolution's unfolded buffers deliberately do
+not — see ``TestArenaFootprint``).  A slab recycled too early — while a
 same-step backward cache, a cross-worker hand-off, or a recompute
 snapshot still references it — would silently corrupt the computation.
 ``REPRO_ARENA_DEBUG=1`` turns that failure mode loud: every recycled
@@ -21,8 +22,12 @@ import numpy as np
 import pytest
 
 from repro.core import PipeMareConfig
+from repro.models.resnet import resnet_tiny
 from repro.nn import arena
-from repro.pipeline import AsyncPipelineRuntime, PipelineExecutor
+from repro.nn.losses import CrossEntropyLoss
+from repro.optim import SGD
+from repro.pipeline import AsyncPipelineRuntime, PipelineExecutor, partition_model
+from repro.pipeline.executor import param_groups_from_stages
 
 from test_runtime_equivalence import (
     assert_equivalent,
@@ -148,3 +153,35 @@ class TestPoisonedDifferentialGrid:
         )
         with rt:
             assert_equivalent(m1, ex, m2, rt, x, y, steps=4)
+
+
+class TestArenaFootprint:
+    def test_resnet_arena_reaches_steady_state_and_stays_small(self, rng):
+        """An arena never reuses a slab inside a step, so what a kernel
+        allocates through it is resident for two generations.  Conv's
+        unfolded buffers (9x an activation each, per microbatch, per conv)
+        are therefore plainly allocated; routing ``cols`` alone through
+        ``arena.empty`` takes worker 0 below from ~51x to ~130x
+        (N x activation bytes).  This pins both properties in tier-1, ahead
+        of the benchmark's ``peak_rss_mb`` gate."""
+        n_micro, batch = 4, 16
+        x = rng.normal(size=(batch, 3, 8, 8))
+        y = rng.integers(0, 10, size=batch)
+        model = resnet_tiny(np.random.default_rng(1))
+        stages = partition_model(model, 3)
+        opt = SGD(param_groups_from_stages(stages), lr=0.05, momentum=0.9)
+        # widest activation of one microbatch: (batch/N, 8, 8, 8) float64
+        budget = 80 * n_micro * (batch // n_micro) * 8 * 8 * 8 * 8
+        slabs = []
+        with AsyncPipelineRuntime(
+            model, CrossEntropyLoss(), opt, stages, n_micro, "pipemare"
+        ) as rt:
+            for _ in range(6):
+                rt.train_step(x, y)
+                rt.sync()
+                arenas = [w._arena for w in rt.pool._workers]
+                slabs.append([a.slabs for a in arenas])
+            resident = [a.resident_bytes() for a in arenas]
+        assert slabs[2] == slabs[3] == slabs[4] == slabs[5], slabs
+        assert all(s > 0 for s in slabs[-1])
+        assert max(resident) < budget, (resident, budget)

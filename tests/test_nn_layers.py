@@ -136,6 +136,16 @@ class TestActivations:
         out = ReLU()(np.array([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out, [0, 0, 2])
 
+    def test_relu_backward_is_a_multiply(self):
+        """Open mask passes the gradient, closed mask zeroes a finite one, and
+        a NaN gradient under a closed mask stays NaN (divergence stays
+        visible) — the semantics of ``grad_out * mask``."""
+        m = ReLU()
+        m(np.array([1.0, -1.0, 2.0, -2.0]))
+        g = m.backward(np.array([3.0, 5.0, np.nan, np.nan]))
+        np.testing.assert_array_equal(g[:2], [3.0, 0.0])
+        assert np.isnan(g[2]) and np.isnan(g[3])
+
     def test_identity_passthrough(self, rng):
         m = Identity()
         x = rng.normal(size=(2, 2))
@@ -188,6 +198,70 @@ class TestConv2d:
         m(x)
         dx = m.backward(w)
         check_input_grad(lambda xx: _scalar_loss(m(xx), w), x, dx, rng2)
+
+
+def _reference_conv(x, w, b, g, stride, padding):
+    """Direct convolution and its three gradients, one scalar tap at a time
+    (loops over batch, out-channel, output row/col, kernel row/col; only the
+    in-channel axis is vectorised).  Returns ``(y, dw, db, dx)`` for the loss
+    ``sum(y * g)``."""
+    B, C, H, W = x.shape
+    O, _, KH, KW = w.shape
+    _, _, OH, OW = g.shape
+    xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+    xp[:, :, padding : padding + H, padding : padding + W] = x
+    y = np.zeros((B, O, OH, OW))
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for n in range(B):
+        for o in range(O):
+            for i in range(OH):
+                for j in range(OW):
+                    for kh in range(KH):
+                        for kw in range(KW):
+                            r, c = i * stride + kh, j * stride + kw
+                            y[n, o, i, j] += xp[n, :, r, c] @ w[o, :, kh, kw]
+                            dw[o, :, kh, kw] += g[n, o, i, j] * xp[n, :, r, c]
+                            dxp[n, :, r, c] += g[n, o, i, j] * w[o, :, kh, kw]
+    if b is not None:
+        y += b[None, :, None, None]
+    db = g.sum(axis=(0, 2, 3))
+    return y, dw, db, dxp[:, :, padding : padding + H, padding : padding + W]
+
+
+class TestConv2dReference:
+    """Conv2d's GEMM path against the loop reference, over every
+    kernel/stride/padding/bias combination the model zoo uses.  The
+    non-contiguous input is the transposed view ``BatchNorm2d.forward``
+    returns; with ``padding=0`` im2col strides over it directly."""
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_forward_and_grads(self, kernel, stride, padding, bias, contiguous, rng):
+        m = Conv2d(3, 4, kernel, rng, stride=stride, padding=padding, bias=bias)
+        if bias:
+            m.bias.data[:] = rng.normal(size=4)
+        if contiguous:
+            x = rng.normal(size=(2, 3, 6, 7))
+        else:
+            x = rng.normal(size=(3, 2, 6, 7)).transpose(1, 0, 2, 3)
+            assert not x.flags.c_contiguous
+        x_before = x.copy()
+        y = m(x)
+        g = rng.normal(size=y.shape)
+        dx = m.backward(g)
+        ref_y, ref_dw, ref_db, ref_dx = _reference_conv(
+            x, m.weight.data, m.bias.data if bias else None, g, stride, padding
+        )
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_allclose(y, ref_y, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m.weight.grad, ref_dw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+        if bias:
+            np.testing.assert_allclose(m.bias.grad, ref_db, rtol=1e-12, atol=1e-12)
 
 
 class TestNorms:

@@ -42,6 +42,7 @@ socket, which is exactly what the fault-injection suites need.
 from __future__ import annotations
 
 import contextlib
+import math
 import multiprocessing
 import os
 import pickle
@@ -73,6 +74,7 @@ from repro.pipeline.transport import (
     TransportClosed,
     TransportError,
     TransportTimeout,
+    _align8,
     _layout_perm,
 )
 from repro.pipeline.weight_store import check_version_resident
@@ -92,18 +94,43 @@ _MAGIC = 0x504D4652  # "PMFR"
 _HDR = struct.Struct("<IIQI")  # magic, frame kind, body length, crc32(body)
 _ARR_HDR = struct.Struct("<qqq")  # step tag, payload kind (0 bare / 1 tuple), nparts
 _PART_HDR = struct.Struct("<qqqq")  # present, dtype code, ndim, nbytes
+_OBJ_HDR = struct.Struct("<qq")  # pickle nbytes, out-of-band buffer count
 _MAX_FRAME = 1 << 40
+_PAD = bytes(8)
+# sendmsg() takes at most IOV_MAX buffers a call (1024 on Linux); a frame
+# with more parts simply goes out in several calls.
+_IOV_MAX = 512
 
 # Frame kinds.  OBJ carries pickled control messages (step commands, done
-# reports, handshake); ARRAYS carries one step-tagged edge payload in the
-# ring-compatible layout below; WEIGHTS/VELOCITY reuse the ARRAYS body on
-# the weight socket (the step field holds the version); RESET clears a
-# remote mirror's window before a checkpoint-restore republish.
+# reports, handshake) with their arrays out of band; ARRAYS carries one
+# step-tagged edge payload in the ring-compatible layout below;
+# WEIGHTS/VELOCITY reuse the ARRAYS body on the weight socket (the step
+# field holds the version); RESET clears a remote mirror's window before a
+# checkpoint-restore republish.
 K_OBJ, K_ARRAYS, K_WEIGHTS, K_VELOCITY, K_RESET = 1, 2, 3, 4, 5
 
+# A frame body is never assembled on the sending side: every builder below
+# returns the *chunks* of a body — header bytes followed by the arrays' own
+# memory — and :meth:`Transport.send_frame` checksums and ``sendmsg``s them
+# in place.  Array memory starts on an 8-byte boundary of the body (zero
+# padding after any part whose size is not a multiple of 8, the same rule as
+# the ring's slots), so the receiver can hand out aligned *views* of the one
+# buffer it read the body into.
 
-def encode_arrays(payload, step: int) -> bytes:
-    """One multi-part array payload as a frame body.
+
+def _padded(buffers):
+    """Each non-empty buffer followed by the zero bytes that keep the next
+    one 8-aligned."""
+    for buf in buffers:
+        if buf.nbytes:
+            yield buf
+            if buf.nbytes % 8:
+                yield _PAD[: -buf.nbytes % 8]
+
+
+def _array_chunks(payload, step: int) -> list:
+    """One multi-part array payload as the chunks of a frame body: all the
+    headers in one ``bytes``, then each part's memory, uncopied.
 
     Mirrors :meth:`ShmRing.send_msg`'s layout semantics exactly: each part
     records its dtype code, the shape of the C-contiguous *transposed
@@ -112,15 +139,16 @@ def encode_arrays(payload, step: int) -> bytes:
     required for bit-determinism, since BLAS kernels take different
     floating-point paths for different strides.  ``None`` parts (absent
     optional inputs) are a present=0 header; a bare array is payload kind
-    0, a tuple kind 1.
+    0, a tuple kind 1.  Only a genuinely strided view (gaps, broadcasts)
+    is copied, into C order.
     """
     kind = 1 if isinstance(payload, tuple) else 0
-    parts = list(payload) if kind else [payload]
-    chunks = [_ARR_HDR.pack(step, kind, len(parts))]
-    blobs: list[bytes] = []
+    parts = payload if kind else (payload,)
+    head = [_ARR_HDR.pack(step, kind, len(parts))]
+    blobs = []
     for part in parts:
         if part is None:
-            chunks.append(_PART_HDR.pack(0, 0, 0, 0))
+            head.append(_PART_HDR.pack(0, 0, 0, 0))
             continue
         array = np.asarray(part)
         code = _DTYPE_CODE.get(array.dtype)
@@ -135,23 +163,32 @@ def encode_arrays(payload, step: int) -> bytes:
         if perm is None:
             array = np.ascontiguousarray(array)
             perm = tuple(range(array.ndim))
-        view = np.ascontiguousarray(array.transpose(perm))
-        chunks.append(_PART_HDR.pack(1, code, array.ndim, view.nbytes))
+        view = array.transpose(perm)  # C-contiguous: the memory as it lies
+        head.append(_PART_HDR.pack(1, code, array.ndim, view.nbytes))
         if array.ndim:
-            chunks.append(struct.pack(f"<{array.ndim}q", *view.shape))
-            chunks.append(struct.pack(f"<{array.ndim}q", *perm))
-        blobs.append(view.tobytes())
-    return b"".join(chunks) + b"".join(blobs)
+            head.append(struct.pack(f"<{2 * array.ndim}q", *view.shape, *perm))
+        blobs.append(memoryview(view.reshape(-1).view(np.uint8)))
+    return [b"".join(head), *_padded(blobs)]
+
+
+def encode_arrays(payload, step: int) -> bytes:
+    """The body :func:`_array_chunks` describes, joined into one ``bytes``
+    — for callers that want the encoded form itself; the wire path sends
+    the chunks without joining them."""
+    return b"".join(_array_chunks(payload, step))
 
 
 def decode_arrays(body) -> tuple[int, object]:
-    """Inverse of :func:`encode_arrays`: ``(step, payload)`` with every
-    part owning fresh memory in the sender's exact layout.  Any header
-    that cannot describe a real array — unknown dtype code, negative
-    sizes, a perm that is not a permutation, payload bytes that do not
-    add up — raises :class:`FrameError` (garbled stream), never returns
-    garbage arrays."""
-    body = memoryview(body)
+    """Inverse of :func:`_array_chunks`: ``(step, payload)`` with every
+    part a *view* of ``body`` in the sender's exact layout (``body`` is a
+    bytes-like object or the uint8 array :meth:`Transport.recv_frame`
+    returns; the parts keep it alive, and are writable iff it is).  Any
+    header that cannot describe a real array — unknown dtype code,
+    negative sizes, a perm that is not a permutation, payload bytes that
+    do not add up — raises :class:`FrameError` (garbled stream), never
+    returns garbage arrays."""
+    if not isinstance(body, np.ndarray):
+        body = np.frombuffer(body, np.uint8)
     try:
         step, kind, nparts = _ARR_HDR.unpack_from(body, 0)
     except struct.error:
@@ -173,15 +210,14 @@ def decode_arrays(body) -> tuple[int, object]:
                 raise FrameError(
                     f"garbled part header (dtype code {code}, ndim {ndim})"
                 )
-            shape = struct.unpack_from(f"<{ndim}q", body, pos)
-            pos += 8 * ndim
-            perm = struct.unpack_from(f"<{ndim}q", body, pos)
-            pos += 8 * ndim
+            dims = struct.unpack_from(f"<{2 * ndim}q", body, pos)
+            pos += 16 * ndim
+            shape, perm = dims[:ndim], dims[ndim:]
             if any(s < 0 for s in shape) or sorted(perm) != list(range(ndim)):
                 raise FrameError(
                     f"garbled part header (shape {shape}, perm {perm})"
                 )
-            metas.append((code, ndim, nbytes, shape, perm))
+            metas.append((code, nbytes, shape, perm))
     except struct.error:
         raise FrameError("array frame truncated inside a part header") from None
     parts: list[np.ndarray | None] = []
@@ -189,25 +225,68 @@ def decode_arrays(body) -> tuple[int, object]:
         if meta is None:
             parts.append(None)
             continue
-        code, ndim, nbytes, shape, perm = meta
+        code, nbytes, shape, perm = meta
         dtype = _RING_DTYPES[code]
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        if nbytes != count * dtype.itemsize or pos + nbytes > len(body):
+        if nbytes != math.prod(shape) * dtype.itemsize or pos + nbytes > len(body):
             raise FrameError(
                 f"part payload does not match its header "
                 f"({nbytes} bytes claimed for shape {shape} {dtype})"
             )
-        flat = np.frombuffer(body, dtype=dtype, count=count, offset=pos)
-        pos += nbytes
-        # .copy() owns the memory C-contiguously in the transposed-view
-        # shape; the inverse permutation restores the sender's shape and
-        # strides — same recipe as ShmRing.recv_msg.
-        out = flat.reshape(shape).copy()
-        inv = tuple(np.argsort(perm)) if ndim else ()
-        parts.append(out.transpose(inv))
+        # The transposed-view shape over the bytes as they arrived; the
+        # inverse permutation restores the sender's shape and strides —
+        # same recipe as ShmRing.recv_msg, minus its copy.
+        out = body[pos:pos + nbytes].view(dtype).reshape(shape)
+        if perm != tuple(range(len(perm))):  # identity: the common case
+            out = out.transpose(np.argsort(perm))
+        parts.append(out)
+        pos = _align8(pos + nbytes)
     if pos != len(body):
-        raise FrameError(f"{len(body) - pos} trailing bytes after array frame")
+        raise FrameError(
+            f"{len(body) - pos} trailing bytes after array frame"
+            if pos < len(body)
+            else "array frame truncated inside its padding"
+        )
     return step, (tuple(parts) if kind else parts[0])
+
+
+def _obj_chunks(obj) -> list:
+    """A control message as the chunks of an OBJ frame body: the pickle
+    (protocol 5) and, out of band, the memory of every contiguous array
+    inside ``obj`` — a step command's minibatch and a done report's
+    gradients cross the wire without being copied into the pickle."""
+    buffers: list[pickle.PickleBuffer] = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    raws = [buf.raw() for buf in buffers]
+    head = _OBJ_HDR.pack(len(data), len(raws)) + struct.pack(
+        f"<{len(raws)}q", *(raw.nbytes for raw in raws)
+    )
+    return [head, *_padded([memoryview(data), *raws])]
+
+
+def _decode_obj(body: np.ndarray):
+    """Inverse of :func:`_obj_chunks`; arrays that travelled out of band
+    come back as views of ``body``."""
+    if len(body) < _OBJ_HDR.size:
+        raise FrameError("object frame shorter than its base header")
+    npickle, nbufs = _OBJ_HDR.unpack_from(body, 0)
+    pos = _OBJ_HDR.size + 8 * nbufs
+    if nbufs < 0 or pos > len(body):
+        raise FrameError(f"garbled object frame header ({nbufs} buffers)")
+    sizes = struct.unpack_from(f"<{nbufs}q", body, _OBJ_HDR.size)
+    pieces = []
+    for size in (npickle, *sizes):
+        if size < 0 or pos + size > len(body):
+            raise FrameError(
+                f"object frame is {len(body)} bytes, its header claims a "
+                f"{size}-byte piece at {pos}"
+            )
+        pieces.append(body[pos:pos + size])
+        pos = _align8(pos + size)
+    if pos != len(body):
+        raise FrameError(
+            f"object frame is {len(body)} bytes, its header describes {pos}"
+        )
+    return pickle.loads(pieces[0], buffers=pieces[1:])
 
 
 # -- connected endpoints -------------------------------------------------------
@@ -304,11 +383,15 @@ class Transport:
     Frames are ``(magic, kind, length, crc32)`` headers plus body; a short
     read raises :class:`TransportClosed` (peer gone mid-frame), a bad
     magic or checksum :class:`FrameError` (garbled stream), a deadline
-    :class:`TransportTimeout`.  Sends are serialised by a lock so a
-    heartbeat thread can share the control socket with the worker's done
-    reports without interleaving frames.  :attr:`xfer_seconds` accumulates
-    wall time spent moving *array* payloads (``send_msg``/``recv_msg``),
-    matching the ring transport's accounting.
+    :class:`TransportTimeout`.  Every byte moves once on each side: a send
+    gathers the body's chunks straight from where they live, a receive
+    reads the body into one fresh buffer that the decoded arrays view.
+    Sends are serialised by a lock so a heartbeat thread can share the
+    control socket with the worker's done reports without interleaving
+    frames.  :attr:`xfer_seconds` accumulates wall time spent moving
+    *array* payloads (``send_msg``/``recv_msg``), matching the ring
+    transport's accounting; :attr:`bytes_sent` / :attr:`bytes_received`
+    count whole frames, headers included.
     """
 
     def __init__(self, sock: socket.socket):
@@ -325,6 +408,8 @@ class Transport:
         self._send_lock = threading.Lock()
         self._closed = False
         self.xfer_seconds = 0.0
+        self.bytes_sent = 0
+        self.bytes_received = 0
         self._header_at = 0.0  # when the frame being received began arriving
 
     # -- raw framing -----------------------------------------------------------
@@ -349,10 +434,9 @@ class Transport:
         if not ready:
             raise TransportTimeout(stalled())
 
-    def _recv_exact(self, n: int, deadline: float | None) -> memoryview:
-        buf = bytearray(n)
-        view = memoryview(buf)
-        got = 0
+    def _recv_into(self, view: memoryview, deadline: float | None) -> None:
+        """Fill ``view`` from the stream."""
+        n, got = view.nbytes, 0
         while got < n:
             try:
                 k = self._sock.recv_into(view[got:])
@@ -371,19 +455,24 @@ class Transport:
                     else "peer closed the connection"
                 )
             got += k
-        return view
 
-    def send_frame(self, kind: int, body: bytes, timeout: float | None = None) -> None:
-        header = _HDR.pack(_MAGIC, kind, len(body), zlib.crc32(body) & 0xFFFFFFFF)
-        data = memoryview(header + body)
+    def send_frame(self, kind: int, chunks, timeout: float | None = None) -> None:
+        """Send one frame whose body is the concatenation of ``chunks``
+        (bytes-like objects), checksummed and gathered where they lie."""
+        bufs = [m for m in map(memoryview, chunks) if m.nbytes]
+        length = crc = 0
+        for buf in bufs:
+            length += buf.nbytes
+            crc = zlib.crc32(buf, crc)
+        bufs.insert(0, memoryview(_HDR.pack(_MAGIC, kind, length, crc)))
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._send_lock:
             if self._closed:
                 raise TransportClosed("endpoint is closed")
-            sent = 0
-            while sent < len(data):
+            i = 0
+            while i < len(bufs):
                 try:
-                    sent += self._sock.send(data[sent:])
+                    sent = self._sock.sendmsg(bufs[i:i + _IOV_MAX])
                 except (BlockingIOError, InterruptedError):
                     self._wait_io(
                         False, deadline,
@@ -392,40 +481,64 @@ class Transport:
                             f"(peer not draining)"
                         ),
                     )
+                    continue
                 except OSError as exc:
                     raise TransportClosed(
                         f"connection lost mid-send ({exc})"
                     ) from None
+                while sent:  # step past what the kernel took
+                    if sent >= bufs[i].nbytes:
+                        sent -= bufs[i].nbytes
+                        i += 1
+                    else:
+                        bufs[i] = bufs[i][sent:]
+                        sent = 0
+            self.bytes_sent += _HDR.size + length
 
-    def recv_frame(self, timeout: float | None = None) -> tuple[int, memoryview]:
+    def recv_frame(self, timeout: float | None = None) -> tuple[int, np.ndarray]:
+        """One frame as ``(kind, body)``; ``body`` is a fresh uint8 array
+        nothing else refers to, so decoders may hand out views of it."""
         deadline = None if timeout is None else time.monotonic() + timeout
         if self._closed:
             raise TransportClosed("endpoint is closed")
-        header = self._recv_exact(_HDR.size, deadline)
+        header = bytearray(_HDR.size)
+        self._recv_into(memoryview(header), deadline)
         self._header_at = time.perf_counter()
         magic, kind, length, crc = _HDR.unpack(header)
         if magic != _MAGIC:
             raise FrameError(f"bad frame magic 0x{magic:08x} — stream corrupt")
         if length > _MAX_FRAME:
             raise FrameError(f"frame length {length} exceeds the 1 TiB cap")
-        body = self._recv_exact(length, deadline)
-        if zlib.crc32(body) & 0xFFFFFFFF != crc:
+        try:
+            body = np.empty(length, np.uint8)
+        except MemoryError:
+            raise FrameError(
+                f"frame length {length} cannot be buffered — stream corrupt"
+            ) from None
+        self._recv_into(memoryview(body), deadline)
+        if zlib.crc32(body) != crc:
             raise FrameError("frame checksum mismatch — stream corrupt")
+        self.bytes_received += _HDR.size + length
         return kind, body
 
     # -- typed convenience -----------------------------------------------------
     def send_obj(self, obj, timeout: float | None = None) -> None:
-        self.send_frame(K_OBJ, pickle.dumps(obj), timeout)
+        self.send_frame(K_OBJ, _obj_chunks(obj), timeout)
 
     def recv_obj(self, timeout: float | None = None):
         kind, body = self.recv_frame(timeout)
         if kind != K_OBJ:
             raise FrameError(f"expected an OBJ frame, got kind {kind}")
-        return pickle.loads(body)
+        return _decode_obj(body)
+
+    def send_arrays(
+        self, kind: int, payload, step: int, timeout: float | None = None
+    ) -> None:
+        self.send_frame(kind, _array_chunks(payload, step), timeout)
 
     def send_msg(self, payload, step: int, timeout: float | None = None) -> None:
         t0 = time.perf_counter()
-        self.send_frame(K_ARRAYS, encode_arrays(payload, step), timeout)
+        self.send_arrays(K_ARRAYS, payload, step, timeout)
         self.xfer_seconds += time.perf_counter() - t0
 
     def recv_msg(self, timeout: float | None = None) -> tuple[int, object]:
@@ -448,8 +561,6 @@ class Transport:
         except OSError:
             pass
         self._sock.close()
-
-
 
 
 # -- the two seams -------------------------------------------------------------
@@ -538,11 +649,16 @@ class RemoteWeightMirror:
     optimizer boundary and this mirror replays them, in arrival order,
     into a resident window of the last ``history`` versions.
 
+    The pipeline is partitioned on the wire too: a frame carries only the
+    stages this worker reads (``read_stages`` — its own bindings plus
+    borrowed tied coordinates), in ascending stage order, and the window
+    holds nothing else.
+
     The seam is identical to :class:`SharedWeightMirror`'s worker side —
     ``weights``/``latest_version``/``wait_version``/``velocity`` — so
     :class:`~repro.pipeline.plan.WorkerPlanMirror` runs unmodified.
     A dedicated drainer thread folds frames into the window *eagerly*, in
-    arrival order — the driver's ``sendall`` must never block on a worker
+    arrival order — the driver's send must never block on a worker
     that happens not to need a version right now, or a weight window
     larger than the kernel socket buffer deadlocks the publish (the
     worker would only start reading once a step arrives on the control
@@ -560,15 +676,16 @@ class RemoteWeightMirror:
         self,
         conn: Transport,
         stage_shapes: list[list[tuple[int, ...]]],
+        read_stages: list[int],
         history: int,
         with_velocity: bool,
     ):
         self._conn = conn
-        self._counts = [len(shapes) for shapes in stage_shapes]
+        self._counts = {s: len(stage_shapes[s]) for s in read_stages}
         self.history = history
         self.with_velocity = with_velocity
-        self._window: dict[int, list[list[np.ndarray]]] = {}
-        self._velocity: list[list[np.ndarray]] | None = None
+        self._window: dict[int, dict[int, list[np.ndarray]]] = {}
+        self._velocity: dict[int, list[np.ndarray]] | None = None
         self._latest = -1
         self._cond = threading.Condition()
         self._resets = 0  # RESET frames folded so far
@@ -581,21 +698,36 @@ class RemoteWeightMirror:
 
     def _drain_loop(self) -> None:
         while True:
+            # Receive and decode with the lock free: weights() takes it on
+            # every per-wave load and must not wait out an unrelated frame.
             try:
                 kind, body = self._conn.recv_frame(None)
-            except TransportError as exc:
+                if kind not in (K_WEIGHTS, K_VELOCITY, K_RESET):
+                    raise FrameError(
+                        f"unexpected frame kind {kind} on the weight socket"
+                    )
+                if kind != K_RESET:
+                    version, payload = decode_arrays(body)
+                    stages = self._regroup(payload)
+            except Exception as exc:  # noqa: BLE001 — surfaced by _wait_for
                 with self._cond:
                     self._broken = exc
                     self._cond.notify_all()
                 return
             with self._cond:
-                try:
-                    if self._apply(kind, body):
-                        self._resets += 1
-                except BaseException as exc:
-                    self._broken = exc
-                    self._cond.notify_all()
-                    return
+                if kind == K_RESET:
+                    self._window.clear()
+                    self._latest = -1
+                    self._resets += 1
+                elif kind == K_VELOCITY:
+                    self._velocity = stages
+                else:
+                    self._window[version] = stages
+                    self._latest = max(self._latest, version)
+                    for old in [
+                        v for v in self._window if v <= self._latest - self.history
+                    ]:
+                        del self._window[old]
                 self._cond.notify_all()
 
     def _wait_for(self, ready, deadline: float, describe) -> None:
@@ -615,40 +747,29 @@ class RemoteWeightMirror:
     def latest_version(self) -> int:
         return self._latest
 
-    def _regroup(self, flat) -> list[list[np.ndarray]]:
+    def _regroup(self, flat) -> dict[int, list[np.ndarray]]:
         arrays = list(flat) if isinstance(flat, tuple) else [flat]
-        if len(arrays) != sum(self._counts):
+        if len(arrays) != sum(self._counts.values()):
             raise FrameError(
                 f"weight frame carried {len(arrays)} arrays, expected "
-                f"{sum(self._counts)}"
+                f"{sum(self._counts.values())} for stages {sorted(self._counts)}"
             )
-        stages, pos = [], 0
-        for count in self._counts:
-            group = arrays[pos:pos + count]
-            for arr in group:
+        stages, pos = {}, 0
+        for stage, count in self._counts.items():
+            stages[stage] = arrays[pos:pos + count]
+            for arr in stages[stage]:
                 arr.setflags(write=False)  # workers must never write weights
-            stages.append(group)
             pos += count
         return stages
 
-    def _apply(self, kind: int, body) -> bool:
-        """Fold one weight-socket frame into the window; True for RESET."""
-        if kind == K_RESET:
-            self._window.clear()
-            self._latest = -1
-            return True
-        version, payload = decode_arrays(body)
-        stages = self._regroup(payload)
-        if kind == K_VELOCITY:
-            self._velocity = stages
-            return False
-        if kind != K_WEIGHTS:
-            raise FrameError(f"unexpected frame kind {kind} on the weight socket")
-        self._window[version] = stages
-        self._latest = max(self._latest, version)
-        for old in [v for v in self._window if v <= self._latest - self.history]:
-            del self._window[old]
-        return False
+    def _check_read(self, stage: int) -> None:
+        if stage not in self._counts:
+            raise RuntimeError(
+                f"stage {stage} is not mirrored on this worker: the driver "
+                f"publishes it only its read set, stages "
+                f"{sorted(self._counts)} — a wave that loads stage {stage} "
+                f"here is a wave-compiler bug"
+            )
 
     def wait_version(self, version: int, timeout: float) -> None:
         if self._latest >= version:
@@ -683,6 +804,7 @@ class RemoteWeightMirror:
             self._resets_consumed += 1
 
     def weights(self, stage: int, version: int) -> list[np.ndarray]:
+        self._check_read(stage)
         with self._cond:
             check_version_resident(
                 version, self._latest, self.history, "remote mirror"
@@ -692,6 +814,7 @@ class RemoteWeightMirror:
     def velocity(self, stage: int) -> list[np.ndarray]:
         if not self.with_velocity:
             raise RuntimeError("mirror was built without velocity buffers")
+        self._check_read(stage)
         if self._velocity is None:
             raise RuntimeError(
                 "no velocity frame received yet (driver must publish velocity "
@@ -701,7 +824,6 @@ class RemoteWeightMirror:
 
     def close(self) -> None:
         self._conn.close()
-
 
 
 # -- worker process ------------------------------------------------------------
@@ -772,7 +894,8 @@ def _socket_worker_main(w: int, ctl_address: str, opts: dict) -> None:
     def open_transport(graph, stack):
         spec = init["resolver_spec"]
         mirror = RemoteWeightMirror(
-            wconn, init["stage_shapes"], spec.history, spec.use_t2
+            wconn, init["stage_shapes"], graph.workers[w].read_stages,
+            spec.history, spec.use_t2,
         )
         chans = _SocketChannels(w, timeout, opts["connect_timeout"], handshake, backoff)
         stack.callback(chans.close)
@@ -1209,9 +1332,6 @@ class SocketWorkerPool(_WorkerPoolBase):
         return super().await_losses(seq)
 
     def publish_plan_state(self) -> None:
-        # Velocity first, version last: in-order frame delivery makes the
-        # version frame the release operation, same as the shared mirror's
-        # header bump.
         self._publish_versions([self.plan.store.latest_version])
 
     def full_resync(self) -> None:
@@ -1220,7 +1340,9 @@ class SocketWorkerPool(_WorkerPoolBase):
         channel (FIFO with the next step command) so a stale higher
         ``latest`` can never satisfy a gate against the restored
         timeline."""
-        self._broadcast_weights(K_RESET, b"")
+        self._to_weight_conns(
+            lambda w, conn: conn.send_frame(K_RESET, (), self._send_timeout)
+        )
         self._publish_window()
         v = self.plan.store.latest_version
         for w in range(len(self._ctls)):
@@ -1242,31 +1364,48 @@ class SocketWorkerPool(_WorkerPoolBase):
         )
 
     def _publish_versions(self, versions, workers=None) -> None:
+        """Push ``versions`` (and the current T2 velocities) to each
+        worker's mirror — *its* stages only: worker ``w`` is sent
+        ``read_stages`` of its slice, so a boundary moves about one model's
+        worth of bytes in total however many workers there are.  Velocity
+        first, version last, per connection: in-order frame delivery makes
+        the version frame the release operation, same as the shared
+        mirror's header bump."""
         plan, store = self.plan, self.plan.store
-        if plan.corrector is not None:
-            self._broadcast_weights(
-                K_VELOCITY,
-                encode_arrays(_flatten(plan.corrector.velocity), -1),
-                workers,
-            )
-        for v in versions:
-            self._broadcast_weights(
-                K_WEIGHTS,
-                encode_arrays(
-                    _flatten([store.weights(s, v) for s in range(store.num_stages)]), v
-                ),
-                workers,
-            )
 
-    def _broadcast_weights(self, kind: int, body: bytes, workers=None) -> None:
+        def publish(w, conn):
+            stages = self.driver_workers[w].read_stages
+            if plan.corrector is not None:
+                conn.send_arrays(
+                    K_VELOCITY,
+                    _flatten(plan.corrector.velocity[s] for s in stages),
+                    -1, self._send_timeout,
+                )
+            for v in versions:
+                conn.send_arrays(
+                    K_WEIGHTS, _flatten(store.weights(s, v) for s in stages),
+                    v, self._send_timeout,
+                )
+
+        self._to_weight_conns(publish, workers)
+
+    def _to_weight_conns(self, send, workers=None) -> None:
+        """``send(w, conn)`` on every live weight connection (or only
+        those of ``workers``).  A dead one wedges the pool — after the
+        rest were served: an in-place replacement refills the replaced
+        worker's mirror alone, so a survivor skipped here would wait for
+        this version forever."""
+        lost = None
         for w, conn in enumerate(self._weight_conns):
             if conn is None or (workers is not None and w not in workers):
                 continue
             try:
-                conn.send_frame(kind, body, self._send_timeout)
+                send(w, conn)
             except TransportError as exc:
                 self.wedged = True
-                raise self._unreachable(w, "publish", exc) from None
+                lost = lost or self._unreachable(w, "publish", exc)
+        if lost is not None:
+            raise lost
 
     # -- loss handling ---------------------------------------------------------
     def _drain_residue(self) -> None:
@@ -1404,5 +1543,5 @@ class SocketWorkerPool(_WorkerPoolBase):
 
 def _flatten(per_stage) -> tuple:
     """Per-stage array lists as the flat tuple a weight frame carries (the
-    remote mirror regroups by the stage shape counts shipped in init)."""
+    remote mirror regroups by its read stages' shape counts from init)."""
     return tuple(arr for stage in per_stage for arr in stage)

@@ -35,7 +35,8 @@ Only two seams differ between backends, and both are arguments:
   workers, which accumulate in place into the driver's live parameters, or
   a callable for workers that own a private model slice (the process
   backend writes the :class:`~repro.pipeline.transport.SharedGradMailbox`,
-  the socket backend returns them inside the done report).
+  the socket backend returns them inside the done report, whose frame
+  carries array memory out of band — see ``net._obj_chunks``).
 
 Commands arrive through ``recv()`` and replies leave through ``send(msg)``
 — two plain callables, so tests drive the loop with in-memory lists.

@@ -1,36 +1,49 @@
 """Property tests for the socket wire format.
 
-The frame codec (``encode_arrays``/``decode_arrays``) is the network twin
-of ``ShmRing.send_msg``/``recv_msg`` and carries the same bit-determinism
-obligation: every payload must come back with the sender's exact value,
-dtype, shape **and memory layout** (BLAS kernels take different
-floating-point paths for different strides).  These tests sweep the
-codec over shapes × dtypes × C/F/transposed layouts × ``None`` parts ×
-zero-size arrays — mirroring the ShmRing layout regression suite — and
-then prove the garbled-stream contract: any header that cannot describe
-a real array raises :class:`FrameError`, never returns garbage.
+The frame codec is the network twin of ``ShmRing.send_msg``/``recv_msg``
+and carries the same bit-determinism obligation: every payload must come
+back with the sender's exact value, dtype, shape **and memory layout**
+(BLAS kernels take different floating-point paths for different strides).
+These tests sweep it over shapes × dtypes × C/F/transposed layouts ×
+``None`` parts × zero-size arrays — mirroring the ShmRing layout
+regression suite — twice: through the ``encode_arrays``/``decode_arrays``
+wrappers and through the path the runtime uses, a scatter-gather
+``send_msg`` into a ``recv_msg`` whose arrays view the receive buffer.
+Then the garbled-stream contract: any header that cannot describe a real
+array raises :class:`FrameError`, and a flipped bit anywhere in a frame
+never yields a payload.
 
 The ``Transport`` half runs over ``socketpair()`` plus real UDS/TCP
-listeners: round trips, deadline behaviour, peer-close semantics, and
-corrupted-byte detection via the frame checksum.
+listeners: round trips, deadline behaviour, peer-close semantics,
+out-of-band control-message buffers and wire-byte accounting.  The
+``RemoteWeightMirror`` tests drive the worker side of the weight protocol
+from a hand-held driver socket.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
+import threading
+import time
 import zlib
 
 import numpy as np
 import pytest
 
+from repro.pipeline import net
 from repro.pipeline.net import (
     _HDR,
+    _IOV_MAX,
     _MAGIC,
     K_ARRAYS,
     K_OBJ,
+    K_RESET,
+    K_VELOCITY,
+    K_WEIGHTS,
     FrameError,
     Listener,
+    RemoteWeightMirror,
     Transport,
     connect,
     decode_arrays,
@@ -51,10 +64,35 @@ pytestmark = pytest.mark.net
 SHAPES = [(), (0,), (3,), (2, 3), (4, 1, 3), (2, 3, 4, 5)]
 
 
-def roundtrip(payload, step=0):
-    got_step, got = decode_arrays(encode_arrays(payload, step))
-    assert got_step == step
-    return got
+@pytest.fixture
+def pair():
+    a, b = socket.socketpair()
+    ta, tb = Transport(a), Transport(b)
+    yield ta, tb
+    ta.close()
+    tb.close()
+
+
+@pytest.fixture(params=["codec", "socket"])
+def roundtrip(request):
+    """A payload there and back: through the encode/decode wrappers, or
+    over a real socket through the scatter-gather send and the viewing
+    receive (payloads here fit the socket buffer, so one thread can do
+    both halves)."""
+    if request.param == "codec":
+        def go(payload, step=0):
+            got_step, got = decode_arrays(encode_arrays(payload, step))
+            assert got_step == step
+            return got
+    else:
+        ta, tb = request.getfixturevalue("pair")
+
+        def go(payload, step=0):
+            ta.send_msg(payload, step, timeout=5.0)
+            got_step, got = tb.recv_msg(timeout=5.0)
+            assert got_step == step
+            return got
+    return go
 
 
 def assert_same_array(out, src):
@@ -71,7 +109,7 @@ def assert_same_array(out, src):
         assert effective(out) == effective(src), (
             "memory layout must survive the wire"
         )
-    assert out.base is None or out.base.base is None  # owns fresh memory
+    assert not np.shares_memory(out, src)  # the receiver's own memory
 
 
 def make_array(shape, dtype, order, rng):
@@ -94,20 +132,20 @@ class TestCodec:
     @pytest.mark.parametrize("dtype", _RING_DTYPES, ids=str)
     @pytest.mark.parametrize("order", ["C", "F", "T"])
     def test_single_arrays_survive_value_dtype_shape_layout(
-        self, rng, dtype, order
+        self, rng, roundtrip, dtype, order
     ):
         for shape in SHAPES:
             src = make_array(shape, dtype, order, rng)
             assert_same_array(roundtrip(src), src)
 
-    def test_bare_array_stays_bare_and_tuple_stays_tuple(self, rng):
+    def test_bare_array_stays_bare_and_tuple_stays_tuple(self, rng, roundtrip):
         bare = rng.normal(size=(3, 2))
         out = roundtrip(bare)
         assert isinstance(out, np.ndarray)
         out = roundtrip((bare,))
         assert isinstance(out, tuple) and len(out) == 1
 
-    def test_multipart_tuples_with_none_and_zero_size(self, rng):
+    def test_multipart_tuples_with_none_and_zero_size(self, rng, roundtrip):
         payload = (
             rng.normal(size=(2, 3)),
             None,
@@ -124,7 +162,7 @@ class TestCodec:
             else:
                 assert_same_array(got, np.asarray(src))
 
-    def test_empty_tuple(self):
+    def test_empty_tuple(self, roundtrip):
         assert roundtrip(()) == ()
 
     def test_step_tags_roundtrip_including_negative(self, rng):
@@ -133,10 +171,34 @@ class TestCodec:
             got_step, _ = decode_arrays(encode_arrays(arr, step))
             assert got_step == step
 
-    def test_noncontiguous_view_values_survive(self, rng):
+    def test_noncontiguous_view_values_survive(self, rng, roundtrip):
         base = rng.normal(size=(4, 6, 5))
         view = base[:, ::2, :]  # gaps: C-copy fallback, values must survive
-        np.testing.assert_array_equal(roundtrip(view), view)
+        out = roundtrip(view)
+        np.testing.assert_array_equal(out, view)
+        assert out.flags.c_contiguous
+
+    def test_transposed_nchw_intermediate_keeps_its_strides(self, rng, roundtrip):
+        """What BatchNorm/GroupNorm hand downstream: NHWC memory viewed as
+        NCHW — neither C nor Fortran order."""
+        src = rng.normal(size=(2, 5, 5, 3)).transpose(0, 3, 1, 2)
+        assert not src.flags.c_contiguous and not src.flags.f_contiguous
+        assert_same_array(roundtrip(src), src)
+
+    def test_mixed_width_parts_stay_aligned(self, rng, roundtrip):
+        """Part sizes that are not multiples of 8 are padded on the wire,
+        so every decoded view starts on an 8-byte boundary."""
+        payload = (
+            np.array([True, False, True]),
+            rng.normal(size=(3, 3)),
+            rng.normal(size=(5,)).astype(np.float32),
+            np.arange(7, dtype=np.int64),
+        )
+        out = roundtrip(payload)
+        for got, src in zip(out, payload):
+            assert_same_array(got, src)
+            assert got.flags.aligned
+            assert got.ctypes.data % 8 == 0
 
     def test_unsupported_dtype_is_rejected_at_encode(self):
         with pytest.raises(TypeError, match="cannot frame dtype"):
@@ -205,15 +267,6 @@ class TestGarbledFrames:
             decode_arrays(bytes(body))
 
 
-@pytest.fixture
-def pair():
-    a, b = socket.socketpair()
-    ta, tb = Transport(a), Transport(b)
-    yield ta, tb
-    ta.close()
-    tb.close()
-
-
 class TestTransport:
     def test_msg_roundtrip_with_step_tags(self, rng, pair):
         ta, tb = pair
@@ -234,9 +287,6 @@ class TestTransport:
         the whole wait as transport — the bubble showed up in
         ``transport_fraction``.  The clock starts when the frame header
         arrives, matching ShmRing (which times after its slot wait)."""
-        import threading
-        import time
-
         ta, tb = pair
         src = rng.normal(size=(4, 4))
 
@@ -323,8 +373,6 @@ class TestTransport:
         # timeout racing a blocking recv on the same socket must neither
         # time the recv out spuriously nor let the send inherit the
         # recv's infinite wait.
-        import threading
-
         ta, tb = pair
         errs: list[BaseException] = []
         got: list[object] = []
@@ -357,6 +405,255 @@ class TestTransport:
         # A finite recv deadline still fires on the shared socket.
         with pytest.raises(TransportTimeout, match="stalled"):
             tb.recv_frame(timeout=0.1)
+
+
+def arrays_in(obj):
+    """Every ndarray nested in a control message, in traversal order."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from arrays_in(item)
+
+
+def raw_frame(kind, chunks) -> bytes:
+    """A whole frame as the bytes a correct sender puts on the stream."""
+    body = b"".join(bytes(c) for c in chunks)
+    return _HDR.pack(_MAGIC, kind, len(body), zlib.crc32(body)) + body
+
+
+class TestOneCopyPath:
+    """The scatter-gather send and the viewing receive."""
+
+    def test_decoded_arrays_outlive_the_next_frames(self, rng, pair):
+        """Each frame is received into its own buffer: arrays handed out
+        for one frame must not change when later frames arrive."""
+        ta, tb = pair
+        sent = [rng.normal(size=(16, 16)) for _ in range(4)]
+        kept = []
+        for i, src in enumerate(sent):
+            ta.send_msg((src, np.asfortranarray(src)), step=i, timeout=5.0)
+            kept.append(tb.recv_msg(timeout=5.0)[1])
+        for src, (c_order, f_order) in zip(sent, kept):
+            np.testing.assert_array_equal(c_order, src)
+            assert_same_array(f_order, np.asfortranarray(src))
+        c_order[...] = 0.0  # writable, and nobody else's memory
+        np.testing.assert_array_equal(kept[0][0], sent[0])
+
+    def test_frame_larger_than_the_socket_buffer(self, rng, pair):
+        """Partial sendmsg()s resume mid-buffer; the receiver sees one
+        intact frame."""
+        ta, tb = pair
+        src = (rng.normal(size=(512, 300)), np.asfortranarray(rng.normal(size=(300, 512))))
+        sender = threading.Thread(target=ta.send_msg, args=(src, 9, 10.0))
+        sender.start()
+        step, out = tb.recv_msg(timeout=10.0)
+        sender.join(timeout=10.0)
+        assert not sender.is_alive()
+        assert step == 9
+        for got, want in zip(out, src):
+            assert_same_array(got, want)
+
+    def test_more_parts_than_one_sendmsg_takes(self, rng, pair):
+        ta, tb = pair
+        src = tuple(rng.normal(size=(3,)) for _ in range(2 * _IOV_MAX + 5))
+        ta.send_msg(src, step=1, timeout=5.0)
+        _, out = tb.recv_msg(timeout=5.0)
+        assert len(out) == len(src)
+        for got, want in zip(out, src):
+            np.testing.assert_array_equal(got, want)
+
+    def test_wire_bytes_are_counted_on_both_ends(self, rng, pair):
+        ta, tb = pair
+        src = (rng.normal(size=(5, 7)), None, np.arange(3, dtype=np.int8))
+        ta.send_msg(src, step=0, timeout=5.0)
+        tb.recv_msg(timeout=5.0)
+        want = _HDR.size + len(encode_arrays(src, 0))
+        assert ta.bytes_sent == tb.bytes_received == want
+        assert ta.bytes_received == tb.bytes_sent == 0
+        tb.send_obj(("ack", 1), timeout=5.0)
+        ta.recv_obj(timeout=5.0)
+        assert 0 < tb.bytes_sent == ta.bytes_received
+
+    def test_report_and_command_arrays_travel_out_of_band(self, rng, pair):
+        """A done report's gradients and a step command's minibatch leave
+        the pickle: contiguous arrays (C or Fortran) ride as raw buffers
+        in the same frame, strided ones fall back to the in-band copy —
+        all bit-exact, layout included."""
+        ta, tb = pair
+        big = rng.normal(size=(64, 48))
+        grads = [big, np.asfortranarray(big), big[::2, ::3], np.zeros((0, 4))]
+        batch = rng.normal(size=(12, 6))
+        report = ("done", (1, 7, "ok", 0.5, 0.0, 0.0,
+                           (None, None, [(0, [0, 1, 2, 3], grads)], ((1, 0.5, 0.0, 0.0),))))
+        command = ("step", 8, 3, False, [0.5, 0.5],
+                   {0: [batch[:6], batch[6:]]}, np.arange(12))
+        for msg in (report, command):
+            chunks = net._obj_chunks(msg)
+            ta.send_frame(K_OBJ, chunks, timeout=5.0)
+            got = tb.recv_obj(timeout=5.0)
+            flat_src, flat_got = list(arrays_in(msg)), list(arrays_in(got))
+            assert len(flat_src) == len(flat_got) > 0
+            for out, src in zip(flat_got, flat_src):
+                if src.flags.c_contiguous or src.flags.f_contiguous:
+                    assert_same_array(out, src)
+                else:  # pickle's own C-order copy: values are the contract
+                    np.testing.assert_array_equal(out, src)
+        # The pickle itself stays small: the two contiguous 24 KiB grads
+        # are chunks of their own, not bytes inside it.
+        chunks = net._obj_chunks(report)
+        assert len(chunks[1]) < big.nbytes
+        assert sum(len(c) == big.nbytes for c in chunks) == 2
+
+    @pytest.mark.parametrize("what", ["arrays", "object"])
+    def test_any_flipped_bit_is_rejected(self, rng, what):
+        """Flip one bit at every offset of a frame — frame header, part
+        headers, padding, payload, pickle, out-of-band buffers: the
+        receiver raises FrameError (or, when the flip lengthens the frame,
+        runs into the end of the stream) and never returns a payload."""
+        if what == "arrays":
+            kind = K_ARRAYS
+            chunks = net._array_chunks(
+                (rng.normal(size=(2, 3)), None, np.array([True, False, True])), 4
+            )
+        else:
+            kind = K_OBJ
+            chunks = net._obj_chunks(("done", [rng.normal(size=(3, 2))], "x"))
+        frame = raw_frame(kind, chunks)
+        length_field = range(8, 16)
+        for offset in range(len(frame)):
+            bad = bytearray(frame)
+            bad[offset] ^= 0x10
+            a, b = socket.socketpair()
+            rx = Transport(b)
+            try:
+                a.sendall(bad)
+                a.close()
+                expected = (
+                    (FrameError, TransportClosed)
+                    if offset in length_field
+                    else FrameError
+                )
+                with pytest.raises(expected):
+                    rx.recv_msg(5.0) if kind == K_ARRAYS else rx.recv_obj(5.0)
+            finally:
+                rx.close()
+
+    def test_stream_cut_anywhere_raises_closed(self, rng):
+        frame = raw_frame(K_ARRAYS, net._array_chunks(rng.normal(size=(4, 4)), 2))
+        for cut in range(0, len(frame), 7):
+            a, b = socket.socketpair()
+            rx = Transport(b)
+            try:
+                a.sendall(frame[:cut])
+                a.close()
+                with pytest.raises(TransportClosed, match="closed the connection"):
+                    rx.recv_msg(5.0)
+            finally:
+                rx.close()
+
+
+class TestRemoteWeightMirror:
+    """The worker's end of the weight socket, fed by a hand-held driver:
+    it mirrors only its read stages, in ascending stage order."""
+
+    SHAPES = [[(2, 3), (3,)], [(4, 2)], [(5,), (5, 5)], [(1,)]]
+
+    def stage_arrays(self, rng, stage):
+        return [rng.normal(size=shape) for shape in self.SHAPES[stage]]
+
+    @pytest.fixture
+    def mirrored(self, pair):
+        driver, conn = pair
+        mirror = RemoteWeightMirror(
+            conn, self.SHAPES, read_stages=[0, 2], history=2, with_velocity=True
+        )
+        return driver, mirror
+
+    def publish(self, driver, kind, version, *stages):
+        flat = tuple(arr for stage in stages for arr in stage)
+        driver.send_arrays(kind, flat, version, timeout=5.0)
+
+    def test_window_holds_the_read_stages_only(self, rng, mirrored):
+        driver, mirror = mirrored
+        w0, w2 = self.stage_arrays(rng, 0), self.stage_arrays(rng, 2)
+        v0, v2 = self.stage_arrays(rng, 0), self.stage_arrays(rng, 2)
+        self.publish(driver, K_VELOCITY, -1, v0, v2)
+        self.publish(driver, K_WEIGHTS, 0, w0, w2)
+        mirror.wait_version(0, timeout=5.0)
+        for stage, weights, velocity in ((0, w0, v0), (2, w2, v2)):
+            for got, want in zip(mirror.weights(stage, 0), weights, strict=True):
+                assert_same_array(got, want)
+                assert not got.flags.writeable
+            for got, want in zip(mirror.velocity(stage), velocity, strict=True):
+                assert_same_array(got, want)
+
+    def test_unread_stage_is_a_typed_error_naming_the_read_set(self, rng, mirrored):
+        driver, mirror = mirrored
+        self.publish(driver, K_VELOCITY, -1,
+                     self.stage_arrays(rng, 0), self.stage_arrays(rng, 2))
+        self.publish(driver, K_WEIGHTS, 0,
+                     self.stage_arrays(rng, 0), self.stage_arrays(rng, 2))
+        mirror.wait_version(0, timeout=5.0)
+        for read in (lambda: mirror.weights(1, 0), lambda: mirror.velocity(3)):
+            with pytest.raises(RuntimeError, match=r"read set, stages \[0, 2\]"):
+                read()
+
+    def test_whole_model_frame_is_rejected(self, rng, mirrored):
+        """A driver that broadcast every stage would trip the array-count
+        check; the fault surfaces at the next gate wait."""
+        driver, mirror = mirrored
+        self.publish(driver, K_WEIGHTS, 0, *(self.stage_arrays(rng, s) for s in range(4)))
+        with pytest.raises(TransportClosed, match="carried 6 arrays, expected 4"):
+            mirror.wait_version(0, timeout=5.0)
+
+    def test_reset_fence_and_window_eviction(self, rng, mirrored):
+        driver, mirror = mirrored
+        for v in range(4):
+            self.publish(driver, K_WEIGHTS, v,
+                         self.stage_arrays(rng, 0), self.stage_arrays(rng, 2))
+        mirror.wait_version(3, timeout=5.0)
+        with pytest.raises(KeyError, match="not resident in remote mirror"):
+            mirror.weights(0, 1)  # history=2 keeps versions 2 and 3
+        driver.send_frame(K_RESET, (), timeout=5.0)
+        self.publish(driver, K_WEIGHTS, 1,
+                     self.stage_arrays(rng, 0), self.stage_arrays(rng, 2))
+        mirror.await_reset(1, timeout=5.0)
+        assert mirror.latest_version == 1
+        assert len(mirror.weights(2, 1)) == 2
+
+    def test_loads_do_not_wait_for_a_frame_being_decoded(
+        self, rng, mirrored, monkeypatch
+    ):
+        """Regression: the drainer used to decode and copy a frame while
+        holding the mirror's lock, so every per-wave ``weights()`` call
+        stalled for the whole decode of a version it did not need."""
+        driver, mirror = mirrored
+        self.publish(driver, K_WEIGHTS, 0,
+                     self.stage_arrays(rng, 0), self.stage_arrays(rng, 2))
+        mirror.wait_version(0, timeout=5.0)
+        decoding, release = threading.Event(), threading.Event()
+        real_decode = net.decode_arrays
+
+        def slow_decode(body):
+            decoding.set()
+            assert release.wait(10.0)
+            return real_decode(body)
+
+        monkeypatch.setattr(net, "decode_arrays", slow_decode)
+        self.publish(driver, K_WEIGHTS, 1,
+                     self.stage_arrays(rng, 0), self.stage_arrays(rng, 2))
+        assert decoding.wait(5.0)
+        got: list = []
+        reader = threading.Thread(target=lambda: got.append(mirror.weights(0, 0)))
+        reader.start()
+        reader.join(timeout=5.0)
+        stalled = reader.is_alive()
+        release.set()
+        reader.join(timeout=5.0)
+        assert not stalled, "weights() waited for an unrelated frame's decode"
+        assert len(got) == 1
+        mirror.wait_version(1, timeout=5.0)
 
 
 class TestEndpoints:
@@ -402,13 +699,10 @@ class TestEndpoints:
     def test_connect_wins_a_race_with_late_bind(self, tmp_path):
         """Dialling before the peer binds must succeed within the backoff
         budget — the all-dial-then-accept bring-up depends on it."""
-        import threading
-
         path = f"{tmp_path}/late"
         holder = {}
 
         def late_bind():
-            import time
             time.sleep(0.15)
             holder["lis"] = Listener(f"uds:{path}")
 

@@ -6,7 +6,8 @@ backend — same grid, same assertion style — but every payload crosses a
 real socket (UDS loopback by default, one TCP case): spec-based worker
 construction, the version-gated remote weight mirror, gradients riding
 the done reports, persistent-state sync back, and checkpoint resync over
-the control channel.
+the control channel.  ``TestWireBudget`` pins what the partitioning buys on
+the wire: each worker is sent only the stages it reads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from faultutils import FaultRule, FaultSpec
 from repro.core import PipeMareConfig
+from repro.experiments import make_translation_workload
 from repro.models import MLP
 from repro.models.resnet import resnet_tiny
 from repro.nn import CrossEntropyLoss
@@ -23,9 +26,11 @@ from repro.pipeline import (
     RUNTIME_BACKENDS,
     AsyncPipelineRuntime,
     PipelineExecutor,
+    WorkerLostError,
     make_backend,
     partition_model,
 )
+from repro.pipeline import worker as worker_mod
 from repro.pipeline.executor import param_groups_from_stages
 
 pytestmark = pytest.mark.net
@@ -287,3 +292,137 @@ class TestRuntimeContract:
         rt.close()  # idempotent
         with pytest.raises(RuntimeError):
             rt.train_step(x[:16], y[:16])
+
+
+class TestWireBudget:
+    """The model is partitioned on the weight sockets too: an optimizer
+    boundary moves each stage to the worker(s) reading it, once — about one
+    model's worth of bytes, not one per worker.  A regression to broadcast
+    fails here, not just in a benchmark row."""
+
+    @staticmethod
+    def frame_bytes(arrays) -> int:
+        """A weight/velocity frame on the wire: 20-byte frame header,
+        24-byte payload header, then per array a 32-byte part header,
+        16 bytes per dimension and the 8-aligned data."""
+        return 20 + 24 + sum(
+            32 + 16 * a.ndim + (a.nbytes + 7) // 8 * 8 for a in arrays
+        )
+
+    @pytest.mark.timeout(180)
+    def test_weight_bytes_per_boundary_are_one_model_not_one_per_worker(
+        self, rng, monkeypatch
+    ):
+        monkeypatch.setattr(worker_mod, "_channel_hook", FaultSpec([
+            FaultRule(op="send", action="die", worker=2, kind="act", step=3),
+        ]).wrap)
+        x, y = toy_classification(rng, d=16, c=4)
+        model, rt = build_socket_backend(
+            "pipemare", num_stages=4, num_microbatches=2,
+            cfg=PipeMareConfig.t2_only(decay=0.5), dims=(16, 64, 64, 64, 4),
+            deadlock_timeout=2.0, done_grace=5.0, overlap_boundary=False,
+            net_options={"max_worker_restarts": 1},
+        )
+        with rt:
+            pool, store = rt.pool, rt.plan.store
+            assert rt.num_workers == 4
+
+            def frame(w):  # same size for a version and for the velocities
+                return self.frame_bytes([
+                    a
+                    for s in pool.driver_workers[w].read_stages
+                    for a in store.weights(s, store.latest_version)
+                ])
+
+            def sent():
+                return [conn.bytes_sent for conn in pool._weight_conns]
+
+            rt.train_step(x[:16], y[:16])
+            before = sent()
+            rt.train_step(x[16:32], y[16:32])
+            per_boundary = [b - a for a, b in zip(before, sent())]
+            # One velocity frame (T2) and one version frame per worker.
+            assert per_boundary == [2 * frame(w) for w in range(4)]
+            model_bytes = sum(p.data.nbytes for p in model.parameters())
+            assert 2 * model_bytes < sum(per_boundary) < 1.05 * 2 * model_bytes
+
+            # Worker 2 dies in step 3 and is replaced in place: the fresh
+            # mirror is filled with *its* stages' window, the survivors'
+            # windows are left alone.
+            before, old = sent(), pool._weight_conns[2]
+            with pytest.raises(WorkerLostError):
+                rt.train_step(x[32:48], y[32:48])
+            fresh = pool._weight_conns[2]
+            assert fresh is not old
+            window = set(rt.plan.resolvable_versions()) & set(store.resident_versions(0))
+            assert len(window) >= 2
+            assert fresh.bytes_sent == (1 + len(window)) * frame(2)
+            for w in (0, 1, 3):
+                assert pool._weight_conns[w].bytes_sent == before[w]
+            rt.train_step(x[32:48], y[32:48])  # the retry runs on it
+
+    @pytest.mark.timeout(120)
+    def test_dead_weight_connection_does_not_starve_the_survivors(self, rng):
+        """Regression: the publish loop stopped at the first dead
+        connection, so the workers after it never saw that version — and an
+        in-place replacement refills the replaced worker's mirror alone,
+        which left a survivor waiting out its version gate on the retry."""
+        x, y = toy_classification(rng, d=16, c=4)
+        _, rt = build_socket_backend(
+            "pipemare", num_stages=4, num_microbatches=2,
+            dims=(16, 64, 64, 64, 4), overlap_boundary=False,
+        )
+        with rt:
+            pool = rt.pool
+            rt.train_step(x[:16], y[:16])
+            before = [conn.bytes_sent for conn in pool._weight_conns]
+            pool._weight_conns[1].close()
+            with pytest.raises(WorkerLostError, match="worker 1"):
+                pool.publish_plan_state()
+            assert pool.wedged
+            sent = [c.bytes_sent - b for c, b in zip(pool._weight_conns, before)]
+            assert sent[1] == 0 and all(sent[w] > 0 for w in (0, 2, 3))
+
+    @pytest.mark.timeout(180)
+    def test_borrowed_and_split_stages_reach_every_reader_bit_exact(self):
+        """Tied embeddings: the projection worker *borrows* stage 0 from
+        the embedding worker, and a 12-stage model on 4 workers splits
+        stages between neighbours.  Each reader gets its whole read set —
+        nothing else — and the run equals the simulator bit for bit."""
+        workload = make_translation_workload(
+            "wmt", batches_per_epoch=4, batch_size=16, num_microbatches=4, eval_size=8
+        )
+        kw = dict(
+            seed=0, method="pipemare",
+            pipemare=PipeMareConfig.t1_t2(anneal_steps=50, decay=0.5),
+        )
+        sim = workload.bundle(runtime="simulator", **kw)
+        sock = workload.bundle(runtime="socket", **kw)
+        rt = sock.executor
+        with rt:
+            pool, store = rt.pool, rt.plan.store
+            reads = [w.read_stages for w in pool.driver_workers]
+            assert any(set(r) - set(w.stages) for r, w in zip(reads, pool.driver_workers)), (
+                "no worker borrows a stage: the workload lost its tied weights"
+            )
+            assert len({s for r in reads for s in r}) < sum(map(len, reads)), (
+                "no stage has two readers"
+            )
+            before = None
+            for _ in range(4):
+                bt = workload.task.sample_batch(16)
+                l1 = sim.executor.train_step((bt.src, bt.tgt_in), bt.tgt_out)
+                l2 = rt.train_step((bt.src, bt.tgt_in), bt.tgt_out)
+                assert l1 == l2
+                rt.sync()
+                sent = [conn.bytes_sent for conn in pool._weight_conns]
+                if before is not None:
+                    assert [b - a for a, b in zip(before, sent)] == [
+                        2 * self.frame_bytes([
+                            a for s in r for a in store.weights(s, store.latest_version)
+                        ])
+                        for r in reads
+                    ]
+                before = sent
+            for p1, p2 in zip(sim.model.parameters(), sock.model.parameters()):
+                np.testing.assert_array_equal(p1.data, p2.data)

@@ -8,6 +8,8 @@ workload preset, a pipeline method, and which of T1/T2/T3 to enable.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 
 from repro.cli._command import Command, add_common_run_args, add_workload_arg, make_workload
 from repro.core import PipeMareConfig
@@ -111,6 +113,35 @@ def parse_techniques(spec: str, workload, warmup_epochs: int) -> PipeMareConfig:
     )
 
 
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def blas_threads_note(runtime: str, environ, cores: int) -> str | None:
+    """The one-line warning for a concurrent runtime started with BLAS
+    unpinned on a multi-core host: every pipeline worker then starts one
+    BLAS thread per core and the workers fight each other's pools for the
+    same cores (docs/ARCHITECTURE.md, "BLAS threads": 29.5 against 134
+    microbatches/s on the 4×512 MLP, process backend, 2 cores).  ``None``
+    when there is nothing to say."""
+    if runtime == "simulator" or cores <= 1:
+        return None
+    if any(environ.get(var) for var in _BLAS_THREAD_VARS):
+        return None
+    return (
+        f"note: --runtime {runtime} with BLAS threads unpinned on {cores} "
+        "cores: each pipeline worker starts its own BLAS thread pool and "
+        "they oversubscribe the host; export OPENBLAS_NUM_THREADS=1 (or "
+        "OMP_NUM_THREADS / MKL_NUM_THREADS) before starting python"
+    )
+
+
 def _run(args: argparse.Namespace) -> int:
     workload = make_workload(args.workload)
     cfg = None
@@ -139,6 +170,10 @@ def _run(args: argparse.Namespace) -> int:
     if args.resume and args.autosave_dir is None:
         print("--resume requires --autosave-every/--autosave-dir")
         return 2
+
+    note = blas_threads_note(args.runtime, os.environ, _usable_cores())
+    if note:
+        print(note, file=sys.stderr)
 
     desc = cfg.describe() if cfg else "synchronous"
     print(

@@ -15,6 +15,10 @@ sensitivity Δ (Appendix B.5).
 
 Memory cost: one extra buffer the size of the weights — the footnote-2
 "+33% for SGD / +25% for Adam" optimizer-state increase.
+
+:func:`extrapolate` is the one place the expression ``w − Δτ·δ`` is
+written; the pipeline's wave executors call it with ``out=`` into scratch
+they keep (see :class:`repro.pipeline.plan.StepWeightCache`).
 """
 
 from __future__ import annotations
@@ -24,6 +28,23 @@ import numpy as np
 from repro.nn.module import Parameter
 
 PAPER_DEFAULT_DECAY = float(np.exp(-2.0))  # ≈ 0.1353
+
+
+def extrapolate(
+    w: np.ndarray, v: np.ndarray, dtau: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``w − Δτ·v``, written into ``out`` (a fresh array when ``None``).
+
+    Bit-identical to the expression ``w - dtau * v`` — the same two ufuncs
+    in the same order — but through one buffer instead of two temporaries,
+    and through none when the caller keeps ``out`` across calls.  ``w`` and
+    ``v`` share shape and dtype (δ is allocated ``zeros_like`` the weights);
+    ``w`` may be a read-only mirror view, ``out`` must not alias it.
+    """
+    if out is None:
+        out = np.empty_like(w)
+    np.multiply(v, dtau, out=out)
+    return np.subtract(w, out, out=out)
 
 
 class DiscrepancyCorrector:
@@ -72,28 +93,22 @@ class DiscrepancyCorrector:
         return len(self.stage_params)
 
     def corrected_weights(self, stage: int) -> list[np.ndarray]:
-        """``w − Δτ·δ`` for every parameter of ``stage`` (current w)."""
-        return self.correct(stage, [p.data for p in self.stage_params[stage]])
-
-    def correct(self, stage: int, weights: list[np.ndarray]) -> list[np.ndarray]:
-        """``w − Δτ·δ`` applied to explicit ``weights`` (one array per stage
-        parameter).  Taking the base weights as an argument instead of
-        reading ``Parameter.data`` keeps the result independent of which
-        version the live parameters happen to point at — required by the
-        concurrent runtime, where version loads are per-worker."""
+        """``w − Δτ·δ`` for every parameter of ``stage`` at the live
+        ``Parameter.data`` — the reference form of the extrapolation.  The
+        pipeline backends resolve the base weights from the version store
+        instead (live parameters point at whatever version a worker loaded
+        last) and extrapolate through their own step cache."""
+        weights = [p.data for p in self.stage_params[stage]]
         dtau = self.dtau[stage]
         if dtau <= 0:
-            return list(weights)
-        return [w - dtau * v for w, v in zip(weights, self.velocity[stage])]
+            return weights
+        return [extrapolate(w, v, dtau) for w, v in zip(weights, self.velocity[stage])]
 
     def update(self, stage: int, old_weights: list[np.ndarray]) -> None:
         """Fold the step just taken (``w_new − w_old``) into the EWMA."""
-        g = self.gamma[stage]
-        if self.dtau[stage] <= 0:
-            return
-        for p, v, old in zip(self.stage_params[stage], self.velocity[stage], old_weights):
-            v *= g
-            v += (1.0 - g) * (p.data - old)
+        self.update_arrays(
+            stage, old_weights, [p.data for p in self.stage_params[stage]]
+        )
 
     def update_all(self, old_weights_per_stage: list[list[np.ndarray]]) -> None:
         for stage, old in enumerate(old_weights_per_stage):
@@ -111,7 +126,11 @@ class DiscrepancyCorrector:
             return
         for v, old, new in zip(self.velocity[stage], old_weights, new_weights):
             v *= g
-            v += (1.0 - g) * (new - old)
+            # (1 − γ)(new − old) through one temporary, not two.
+            step = np.empty_like(v)
+            np.subtract(new, old, out=step)
+            np.multiply(step, 1.0 - g, out=step)
+            v += step
 
     def update_all_arrays(
         self,

@@ -35,4 +35,8 @@ class SGD(Optimizer):
             v *= self.momentum
             v += g
             g = v
-        p.data = p.data - lr * g
+        # w − α·g as one fresh array (the version store keeps a reference
+        # per version) written twice, instead of a temporary plus a result.
+        new = np.empty_like(p.data)
+        np.multiply(g, lr, out=new)
+        p.data = np.subtract(p.data, new, out=new)

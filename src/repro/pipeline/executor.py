@@ -37,7 +37,7 @@ from repro.optim import Optimizer, ParamGroup
 from repro.optim.schedulers import LRSchedule
 from repro.pipeline.delays import Method
 from repro.pipeline.partition import Stage
-from repro.pipeline.plan import PipelineBackend, ReplicaPlan, StepPlan
+from repro.pipeline.plan import PipelineBackend, ReplicaPlan, StepPlan, StepWeightCache
 
 
 def param_groups_from_stages(stages: list[Stage]) -> list[ParamGroup]:
@@ -129,6 +129,10 @@ class PipelineExecutor(PipelineBackend):
                         "(Dropout(p, seed=..., layer_id=...))"
                     )
         self.replica_plan = ReplicaPlan(self.plan, model, loss_fn)
+        # The simulator executes every wave itself, so it holds the one step
+        # weight cache (all stages, all positions; replicas read the same
+        # versions and share it).
+        self._weights = StepWeightCache(self.plan)
 
     # -- weight loading -------------------------------------------------------
     def _load_all(self, weights_for_stage, stages: list[Stage] | None = None) -> None:
@@ -140,6 +144,8 @@ class PipelineExecutor(PipelineBackend):
         """Run one minibatch; returns the mean microbatch training loss
         (mean over all ``R × N`` microbatches when ``num_replicas > 1``)."""
         plan = self.plan
+        weights = self._weights
+        weights.begin_step()
         n = plan.num_microbatches
         sync = plan.is_sync_step()
         if plan.num_replicas == 1:
@@ -162,9 +168,9 @@ class PipelineExecutor(PipelineBackend):
                         # the (step, microbatch) slot is unchanged, so the
                         # regenerated activations use the same masks the first
                         # forward drew.
-                        self._load_all(lambda s: plan.recompute_weights(s, t, j))
+                        self._load_all(lambda s: weights.recompute_weights(s, t, j))
                         self._forward(xs[j])  # regenerate caches at recompute weights
-                    self._load_all(lambda s: plan.backward_weights(s, t, j, sync))
+                    self._load_all(lambda s: weights.backward_weights(s, t, j, sync))
                     self.model.backward(grad)
             except BaseException:
                 self._abort_deferred_grads()
@@ -181,6 +187,7 @@ class PipelineExecutor(PipelineBackend):
         wave's weights come from the version store and gradients fold in
         replica-index order regardless of completion order."""
         plan = self.plan
+        weights = self._weights
         n = plan.num_microbatches
         shards_x, shards_y = self._shard_minibatch(x, y, plan.num_replicas)
 
@@ -209,9 +216,9 @@ class PipelineExecutor(PipelineBackend):
                     losses.append(loss_fn(out, ys[j]))
                     grad = loss_fn.backward() * plan.grad_scale(self._num_samples(xs[j]), total)
                     if plan.recompute_active(sync):
-                        self._load_all(lambda s: plan.recompute_weights(s, t, j), stages)
+                        self._load_all(lambda s: weights.recompute_weights(s, t, j), stages)
                         self._forward_model(model, xs[j])
-                    self._load_all(lambda s: plan.backward_weights(s, t, j, sync), stages)
+                    self._load_all(lambda s: weights.backward_weights(s, t, j, sync), stages)
                     model.backward(grad)
             except BaseException:
                 for m in deferred:

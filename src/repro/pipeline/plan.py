@@ -28,6 +28,14 @@ stage-indexed, not worker-indexed, so a worker may resolve *any* stage's
 slots — which is how borrowed tied weights (a projection reading the
 embedding stage's version) stay exact on whichever worker uses them.
 
+What a resolver never holds is *scratch*.  The T2 extrapolation
+``w − Δτ·δ`` behind backward and recompute reads is produced by a
+:class:`StepWeightCache`, one per wave executor (each
+:class:`~repro.pipeline.worker.Worker`, the simulator's ``train_step``):
+once per (stage, version, Δτ) per minibatch, into buffers that executor
+keeps.  Thread workers share one ``StepPlan`` and run a step apart, so
+anything cached on the plan would be rewritten under a wave still using it.
+
 :class:`PipelineBackend` is the shared surface of all backends.  Besides
 plan delegation and the microbatch plumbing hooks it drives two module
 protocols that keep weight-tied and stochastic models bit-for-bit equal
@@ -45,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import DiscrepancyCorrector, LRReschedule, PipeMareConfig, WarmupSchedule
+from repro.core.discrepancy import extrapolate
 from repro.nn.dropout import Dropout
 from repro.nn.module import Parameter
 from repro.optim import Optimizer, clip_grad_norm
@@ -64,9 +73,17 @@ class WeightResolver:
     ``latest_version`` and ``wait_version`` — the in-process
     :class:`WeightVersionStore` or a worker's
     :class:`~repro.pipeline.weight_store.SharedWeightMirror`),
-    ``corrector`` (``None`` or an object with ``correct(stage, weights)``
-    and ``velocity[stage]``), ``recompute_segment`` / ``_recompute_lag`` /
+    ``corrector`` (``None`` or an object with ``dtau[stage]`` and
+    ``velocity[stage]``), ``recompute_segment`` / ``_recompute_lag`` /
     ``_segment_heads``, and the minibatch counter ``t``.
+
+    Forward reads are plain store lookups.  Backward and recompute reads
+    may be T2 extrapolations, which the resolver only *describes*
+    (:meth:`backward_read` / :meth:`recompute_read`: a store version plus
+    an optional Δτ) — the arrays are produced by the
+    :class:`StepWeightCache` of whoever executes the wave, because the
+    resolver is shared (thread workers all hold the driver's one
+    :class:`StepPlan`) and scratch buffers must not be.
 
     Every lookup takes the minibatch index ``t`` explicitly so a resolver
     can serve a step the driver has not finalized yet: with the overlapped
@@ -101,10 +118,12 @@ class WeightResolver:
             return self.store.weights(stage, t)
         return self.store.weights(stage, self.profile.fwd_version(stage, t, j))
 
-    def backward_weights(self, stage: int, t: int, j: int, sync: bool) -> list[np.ndarray]:
-        """Arrays read in the backward pass: the stashed forward version
-        (PipeDream), the current version (GPipe, PipeMare), or the
-        T2-corrected extrapolation ``w − Δτ·δ`` (PipeMare + T2).
+    def backward_read(
+        self, stage: int, t: int, j: int, sync: bool
+    ) -> tuple[int, float | None]:
+        """``(version, Δτ)`` of the backward-pass read: the stashed forward
+        version (PipeDream) or the current version (GPipe, PipeMare), plain
+        (``Δτ`` ``None``) or T2-extrapolated ``w − Δτ·δ`` (PipeMare + T2).
 
         "Current" weights during minibatch t hold version t (version t+1 is
         only pushed at t's own boundary), so the version is addressed
@@ -113,11 +132,11 @@ class WeightResolver:
         step still draining.
         """
         if not sync and self.method is Method.PIPEDREAM:
-            return self.store.weights(stage, self.profile.bkwd_version(stage, t, j))
-        latest = self.store.weights(stage, t)
+            return self.profile.bkwd_version(stage, t, j), None
         if sync or self.corrector is None:
-            return latest
-        return self.corrector.correct(stage, latest)
+            return t, None
+        dtau = self.corrector.dtau[stage]
+        return t, (dtau if dtau > 0 else None)
 
     def _recompute_version(self, stage: int, t: int, j: int) -> int:
         """Weight version used to regenerate stage activations: the version
@@ -130,19 +149,16 @@ class WeightResolver:
         slot = t * n + j - int(self._recompute_lag[stage])
         return max(0, _ceil_div(slot - n + 1, n))
 
-    def recompute_weights(self, stage: int, t: int, j: int) -> list[np.ndarray]:
-        """Arrays used to regenerate activations before backward (Appendix
-        D's three-delay model), with the T2 extrapolation toward ``u_fwd``
-        applied to non-head stages (App. D.1)."""
-        weights = self.store.weights(stage, self._recompute_version(stage, t, j))
-        if self.corrector is not None and stage not in self._segment_heads:
-            n = self.profile.num_microbatches
-            tau_r = self._recompute_lag[stage] / n
-            dtau = max(self.profile.tau_fwd(stage) - tau_r, 0.0)
-            weights = [
-                w - dtau * v for w, v in zip(weights, self.corrector.velocity[stage])
-            ]
-        return weights
+    def recompute_read(self, stage: int, t: int, j: int) -> tuple[int, float | None]:
+        """``(version, Δτ)`` of the read that regenerates activations before
+        backward (Appendix D's three-delay model), with the T2
+        extrapolation toward ``u_fwd`` applied to non-head stages (App.
+        D.1)."""
+        version = self._recompute_version(stage, t, j)
+        if self.corrector is None or stage in self._segment_heads:
+            return version, None
+        tau_r = self._recompute_lag[stage] / self.profile.num_microbatches
+        return version, max(self.profile.tau_fwd(stage) - tau_r, 0.0)
 
     # -- per-wave version gating ----------------------------------------------
     def required_version(self, op: str, stage: int, t: int, j: int, sync: bool) -> int:
@@ -430,8 +446,11 @@ class StepPlan(WeightResolver):
         return 1.0
 
     def extra_memory_elements(self) -> int:
-        """Extra persistent memory beyond one weight copy (the simulator-
-        resident T2 buffer; PipeDream's stash is accounted analytically)."""
+        """Extra persistent memory beyond one weight copy that the *method*
+        asks for: the T2 velocity buffer δ only (PipeDream's stash is
+        accounted analytically).  The :class:`StepWeightCache` scratch of
+        each wave executor is an implementation copy of the stages it
+        reads, not part of the paper's memory model, and is not counted."""
         return self.corrector.memory_elements() if self.corrector else 0
 
     # -- checkpointing -----------------------------------------------------------
@@ -617,8 +636,8 @@ class ResolverSpec:
 
 class _MirrorCorrector:
     """Worker-side stand-in for :class:`~repro.core.DiscrepancyCorrector`:
-    the same ``w − Δτ·δ`` extrapolation, with the velocity EWMAs read from
-    the shared mirror instead of process-local buffers.  Only the driver
+    the same per-stage ``dtau``, with the velocity EWMAs read from the
+    shared mirror instead of process-local buffers.  Only the driver
     *updates* velocities (at the optimizer boundary); workers are pure
     readers."""
 
@@ -632,12 +651,6 @@ class _MirrorCorrector:
     def __init__(self, mirror: SharedWeightMirror, dtau: np.ndarray):
         self.dtau = dtau
         self.velocity = self._Velocity(mirror)
-
-    def correct(self, stage: int, weights: list[np.ndarray]) -> list[np.ndarray]:
-        dtau = self.dtau[stage]
-        if dtau <= 0:
-            return list(weights)
-        return [w - dtau * v for w, v in zip(weights, self.velocity[stage])]
 
 
 class WorkerPlanMirror(WeightResolver):
@@ -659,6 +672,84 @@ class WorkerPlanMirror(WeightResolver):
         )
         self.t = 0
         self._init_recompute(spec.recompute_segment)
+
+
+class StepWeightCache:
+    """One wave executor's private T2 extrapolation cache: the backward and
+    recompute reads of a :class:`WeightResolver`, with every extrapolated
+    array computed once per optimizer step and written into scratch that
+    lives as long as the executor.
+
+    ``u = w − Δτ·δ`` is a pure function of (stage, version, Δτ) for the
+    duration of one minibatch — weights and velocities only change at the
+    optimizer boundary — so the N backward waves of a step (and its
+    recompute waves) share one result per stage instead of rebuilding it
+    per wave.  The result lists double as the scratch: slot ``pos`` of a
+    list is allocated by its first extrapolation and overwritten in place
+    by every later step's, so steady-state loads allocate nothing.
+
+    Two rules keep that exact:
+
+    * **the executor owns the cache, never the resolver.**  Thread workers
+      share one :class:`StepPlan`, run up to a step apart under the
+      overlapped boundary, and may read the same stage (a stage split
+      across two workers, a tied projection borrowing the embedding
+      stage) — a shared buffer would be overwritten under a wave still
+      reading it.
+    * **keys die with the step** (:meth:`begin_step`), buffers survive.  A
+      retried step, a ``resync`` or a ``load_state_dict`` at an unchanged
+      ``t`` therefore always re-extrapolates from what the store and the
+      velocities hold *now*.
+
+    ``positions`` maps each stage the executor reads to the parameter
+    positions it binds or borrows there; other slots of a returned list
+    stay ``None``.  ``None`` (the simulator) reads every position of every
+    stage.  The store is still consulted on every read, so a mirror's
+    residency check fires exactly as often as without the cache.
+    """
+
+    def __init__(
+        self, resolver: WeightResolver, positions: dict[int, list[int]] | None = None
+    ):
+        self.resolver = resolver
+        self._positions = positions
+        # stage -> {(version, Δτ): arrays} resolved so far this step
+        self._resolved: dict[int, dict[tuple, list]] = {}
+        # stage -> scratch lists, handed to this step's keys in first-use order
+        self._scratch: dict[int, list[list]] = {}
+
+    def begin_step(self) -> None:
+        self._resolved.clear()
+
+    def backward_weights(self, stage: int, t: int, j: int, sync: bool) -> list:
+        """Arrays stage ``stage`` reads in the backward of microbatch j of
+        minibatch t (see :meth:`WeightResolver.backward_read`)."""
+        return self._read(stage, *self.resolver.backward_read(stage, t, j, sync))
+
+    def recompute_weights(self, stage: int, t: int, j: int) -> list:
+        """Arrays used to regenerate stage activations before backward (see
+        :meth:`WeightResolver.recompute_read`)."""
+        return self._read(stage, *self.resolver.recompute_read(stage, t, j))
+
+    def _read(self, stage: int, version: int, dtau: float | None) -> list:
+        base = self.resolver.store.weights(stage, version)
+        if dtau is None:
+            return base
+        resolved = self._resolved.setdefault(stage, {})
+        arrays = resolved.get((version, dtau))
+        if arrays is None:
+            scratch = self._scratch.setdefault(stage, [])
+            if len(resolved) == len(scratch):
+                scratch.append([None] * len(base))
+            arrays = scratch[len(resolved)]
+            velocity = self.resolver.corrector.velocity[stage]
+            positions = (
+                range(len(base)) if self._positions is None else self._positions[stage]
+            )
+            for pos in positions:
+                arrays[pos] = extrapolate(base[pos], velocity[pos], dtau, out=arrays[pos])
+            resolved[(version, dtau)] = arrays
+        return arrays
 
 
 class PipelineBackend:

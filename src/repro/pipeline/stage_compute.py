@@ -435,13 +435,16 @@ class WorkerCompute:
             m for m in self.all_modules if isinstance(m, Dropout) and m.counter_based
         ]
         self._deferred = [m for m in self.all_modules if hasattr(m, "deferred_grads")]
-        # Every stage this slice *reads* weights from — owned bindings plus
-        # borrowed tied-weight coordinates.  The per-wave version gate is
-        # the max requirement over these stages.
-        self.read_stages: list[int] = sorted(
-            {b.stage for b in self.bindings}
-            | {s for borrow in self.borrows for s, _ in borrow.coords}
-        )
+        # Every (stage, position) this slice *reads* weights from — owned
+        # bindings plus borrowed tied-weight coordinates.  The per-wave
+        # version gate is the max requirement over these stages; the
+        # positions bound what the worker's step weight cache extrapolates.
+        coords = {(b.stage, pos) for b in self.bindings for pos in b.positions}
+        coords.update(c for borrow in self.borrows for c in borrow.coords)
+        self.read_positions: dict[int, list[int]] = {}
+        for s, pos in sorted(coords):
+            self.read_positions.setdefault(s, []).append(pos)
+        self.read_stages: list[int] = list(self.read_positions)
 
     @property
     def stages(self) -> list[int]:
@@ -452,15 +455,15 @@ class WorkerCompute:
         ``weights_for_stage(stage)`` prescribes (whole-stage list; the
         worker picks its positions — a stage may be shared with another
         worker, on disjoint parameter sets), and hand borrowing modules
-        their read-only arrays."""
+        their read-only arrays.  Each distinct stage is resolved once per
+        load, however many bindings and borrowed coordinates point at it."""
+        arrays = {s: weights_for_stage(s) for s in self.read_stages}
         for b in self.bindings:
-            arrays = weights_for_stage(b.stage)
+            stage_arrays = arrays[b.stage]
             for pos, p in zip(b.positions, b.params):
-                p.data = arrays[pos]
+                p.data = stage_arrays[pos]
         for borrow in self.borrows:
-            borrow.module.load_borrowed(
-                [weights_for_stage(s)[pos] for s, pos in borrow.coords]
-            )
+            borrow.module.load_borrowed([arrays[s][pos] for s, pos in borrow.coords])
 
     def set_dropout_slot(self, step: int, microbatch: int) -> None:
         """Position every counter-mode dropout in the slice for the next

@@ -47,8 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.pipeline.delays import Method
-
 
 class WaveCompileError(RuntimeError):
     """A wave's gate or load version did not match the affine model
@@ -127,22 +125,17 @@ def _affine_delay(fn, horizon: int, what: str) -> int:
 
 def _load_version(resolver, op: str, stage: int, t: int, j: int, sync: bool) -> int:
     """The store version whose arrays ``load_weights`` re-points stage
-    ``stage`` at for this wave — mirrors ``forward_weights`` /
-    ``backward_weights`` / ``recompute_weights`` without touching the
-    store."""
-    if op == "F":
+    ``stage`` at for this wave, without touching the store.  A T2
+    extrapolation on top of a backward or recompute read adds a per-stage
+    term that is constant within a step (velocities advance only at the
+    boundary), so the base version alone determines the loaded arrays."""
+    if op == "F":  # mirrors forward_weights
         if sync:
             return t
         return resolver.profile.fwd_version(stage, t, j)
     if op == "B":
-        if not sync and resolver.method is Method.PIPEDREAM:
-            return resolver.profile.bkwd_version(stage, t, j)
-        return t
-    # op == "R": heads reuse the forward version, which _recompute_version
-    # already returns; the T2 extrapolation on non-heads adds a per-stage
-    # term that is constant within a step (velocities advance only at the
-    # boundary), so the base version alone determines the loaded arrays.
-    return resolver._recompute_version(stage, t, j)
+        return resolver.backward_read(stage, t, j, sync)[0]
+    return resolver.recompute_read(stage, t, j)[0]
 
 
 def _load_sig(

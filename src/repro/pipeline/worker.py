@@ -68,7 +68,7 @@ import numpy as np
 
 from repro.nn import arena as nn_arena
 from repro.pipeline.delays import Method
-from repro.pipeline.plan import WorkerPlanMirror
+from repro.pipeline.plan import StepWeightCache, WorkerPlanMirror
 from repro.pipeline.schedule import stage_programs
 from repro.pipeline.stage_compute import (
     ModelSpec,
@@ -173,7 +173,7 @@ def _build_wave_programs(
 def _execute_program(
     compute: WorkerCompute,
     program: "WaveProgram",
-    resolver,
+    weights: StepWeightCache,
     t: int,
     sync: bool,
     chans,
@@ -189,8 +189,10 @@ def _execute_program(
     for minibatch ``t``, one fused block at a time.
 
     Identical for all backends: only ``chans`` (queue-, ring- or
-    socket-backed) and ``resolver`` (driver :class:`StepPlan` or a worker's
-    :class:`WorkerPlanMirror`) differ.  Each op walks the worker's segments
+    socket-backed) and the resolver behind ``weights`` (driver
+    :class:`StepPlan` or a worker's :class:`WorkerPlanMirror`) differ;
+    ``weights`` is the worker's own :class:`StepWeightCache`, which serves
+    the backward and recompute loads.  Each op walks the worker's segments
     in graph order (forward) or reverse (backward); same-worker edges hand
     payloads off through a local dict, cross-worker edges through the
     channel of that edge.
@@ -216,6 +218,7 @@ def _execute_program(
     coarsened done-report detail.  ``busy``/``stall`` equal the lane sums
     by construction.
     """
+    resolver = weights.resolver
     snapshots: dict[int, list[dict]] = {}
     grads: dict[int, np.ndarray] = {}
     recompute = resolver.recompute_active(sync)
@@ -249,7 +252,7 @@ def _execute_program(
                         )
                     else:
                         compute.load_weights(
-                            lambda s: resolver.recompute_weights(s, t, j)
+                            lambda s: weights.recompute_weights(s, t, j)
                         )
                 compute.set_dropout_slot(t, j)
                 prepared = True
@@ -303,7 +306,7 @@ def _execute_program(
                 compute.load_cache_state(snapshots.pop(j))
                 if load:
                     compute.load_weights(
-                        lambda s: resolver.backward_weights(s, t, j, sync)
+                        lambda s: weights.backward_weights(s, t, j, sync)
                     )
                 restored = True
             gins = seg.backward(g)
@@ -369,6 +372,9 @@ class Worker:
         self.w = w
         self.compute = compute
         self.resolver = resolver
+        # Private to this worker even when ``resolver`` is the plan every
+        # thread worker shares — see StepWeightCache.
+        self.weights = StepWeightCache(resolver, compute.read_positions)
         self.programs = programs
         self.loss_fn = loss_fn  # sink worker only
         self.chans = chans if _channel_hook is None else _channel_hook(chans, w)
@@ -441,6 +447,9 @@ class Worker:
         # Step seq's slabs are recycled when step seq+2 begins, matching
         # the two-in-flight driver window.
         self._arena.begin_program(seq)
+        # Nothing extrapolated for an earlier command (the previous step,
+        # or this one before a retry / resync / restore) may be served now.
+        self.weights.begin_step()
         on_losses = None
         if self.loss_fn is not None:
             def on_losses():
@@ -454,7 +463,7 @@ class Worker:
                         p.grad.fill(0.0)
                 compute.zero_deferred()
             busy, stall, lanes = _execute_program(
-                compute, self.programs[bool(sync)][self.w], self.resolver, t,
+                compute, self.programs[bool(sync)][self.w], self.weights, t,
                 sync, chans, self.loss_fn, ext, ys, scales, losses,
                 self.gate_timeout, on_losses,
             )

@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.cli._command import make_workload
-from repro.cli.train_cmd import parse_techniques
+from repro.cli.train_cmd import blas_threads_note, parse_techniques
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -197,6 +197,47 @@ class TestTrainCmd:
         assert "granularity=sublayer" in out
         assert "partition=auto" in out
         assert "best test_accuracy" in out
+
+
+class TestBlasThreadsNote:
+    """Concurrent runtime + unpinned BLAS + more than one core ⇒ one stderr
+    line; any other combination says nothing."""
+
+    def test_note_names_the_runtime_and_the_fix(self):
+        note = blas_threads_note("process", {}, cores=4)
+        assert "--runtime process" in note
+        assert "OPENBLAS_NUM_THREADS=1" in note
+        assert "\n" not in note
+
+    @pytest.mark.parametrize("runtime", ["async", "process", "socket"])
+    def test_every_concurrent_runtime_is_covered(self, runtime):
+        assert blas_threads_note(runtime, {}, cores=2) is not None
+
+    @pytest.mark.parametrize(
+        "runtime, environ, cores",
+        [
+            ("simulator", {}, 8),
+            ("process", {}, 1),
+            ("process", {"OMP_NUM_THREADS": "1"}, 8),
+            ("async", {"OPENBLAS_NUM_THREADS": "2"}, 8),
+            ("socket", {"MKL_NUM_THREADS": "1"}, 8),
+        ],
+    )
+    def test_absent(self, runtime, environ, cores):
+        assert blas_threads_note(runtime, environ, cores) is None
+
+    def test_train_prints_it_on_stderr_only(self, capsys, monkeypatch):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr("repro.cli.train_cmd._usable_cores", lambda: 4)
+        argv = ["train", "--workload", "cifar", "--epochs", "1", "--stages", "6"]
+        assert main(argv + ["--runtime", "async"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("note: --runtime async") == 1
+        assert "note:" not in captured.out
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert main(argv + ["--runtime", "async"]) == 0
+        assert "note:" not in capsys.readouterr().err
 
 
 class TestInfoPartitionTable:

@@ -231,6 +231,42 @@ class TestT2Semantics:
             assert traj[t + 1][0] == pytest.approx(w1n, abs=1e-13)
             assert traj[t + 1][1] == pytest.approx(w2n, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "recompute_segment, last_losses, weight_sum",
+        [
+            (None,
+             [0.30334522923075535, 0.2593535674605558,
+              0.3379559651272788, 0.2665509294316067],
+             -21.333807712189145),
+            (2,
+             [0.3121396708904675, 0.26312139584251304,
+              0.3347974510743419, 0.2658650844272095],
+             -21.068249557004055),
+        ],
+    )
+    def test_t2_trajectory_matches_recorded_history(
+        self, rng, recompute_segment, last_losses, weight_sum
+    ):
+        """N = 4, T1 + T2, momentum: the simulator's trajectory equals, bit
+        for bit, what the commit *before* the step weight cache produced.
+        The differential suites compare backends with each other; this
+        compares the simulator with its own past.  Literals recorded on the
+        reference container (numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread);
+        a different BLAS build may legitimately need them re-recorded."""
+        x, y = toy_classification(rng)
+        m = MLP([6, 8, 8, 3], np.random.default_rng(7))
+        ex, _ = make_executor(
+            m, "pipemare", num_microbatches=4, momentum=0.9,
+            pipemare=PipeMareConfig.t1_t2(anneal_steps=50, decay=0.5),
+            recompute_segment=recompute_segment,
+        )
+        losses = []
+        for i in range(12):
+            b = slice((i % 6) * 16, (i % 6 + 1) * 16)
+            losses.append(ex.train_step(x[b], y[b]))
+        assert losses[-4:] == last_losses
+        assert sum(float(np.sum(p.data)) for p in m.parameters()) == weight_sum
+
     def test_t2_adds_one_weight_copy_of_memory(self, rng):
         m = MLP([6, 8, 3], np.random.default_rng(7))
         ex, _ = make_executor(

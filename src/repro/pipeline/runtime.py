@@ -398,7 +398,8 @@ def _process_worker_main(w: int, conn, done, init: dict) -> None:
         # replica 0's mirror (one published version window) and mailbox
         # (one segment, one lane per replica).
         mirror = SharedWeightMirror(
-            init["wname"], shapes, spec.history, spec.use_t2, readonly=True
+            init["wname"], shapes, spec.history, spec.use_t2, readonly=True,
+            bell=init["mirror_bell"],
         )
         stack.callback(mirror.close)
         mailbox = SharedGradMailbox(
@@ -406,7 +407,7 @@ def _process_worker_main(w: int, conn, done, init: dict) -> None:
         )
         stack.callback(mailbox.close)
         chans = RingChannels(
-            worker_rings(graph, w, init["base"], init["slots"]),
+            worker_rings(graph, w, init["base"], init["slots"], init["ring_bells"]),
             init["deadlock_timeout"],
         )
         stack.callback(chans.close)
@@ -467,8 +468,13 @@ class ProcessWorkerPool(_WorkerPoolBase):
         self.mirror: SharedWeightMirror | None = None
         self.mailbox: SharedGradMailbox | None = None
         self._rings: list[ShmRing] = []
+        self._mirror_bells: list = []
         self._conns = []
         base = f"pm{os.getpid():x}{os.urandom(3).hex()}"
+        # Doorbell semaphores come from the context that starts the workers
+        # and reach them as ``Process`` args (inside ``init``), so fork and
+        # spawn both deliver them.
+        ctx = multiprocessing.get_context(start_method or _default_start_method())
         try:
             if shared is None:
                 self._wname, self._mbname = f"{base}w", f"{base}mb"
@@ -492,14 +498,20 @@ class ProcessWorkerPool(_WorkerPoolBase):
             for e in graph.cross_edges():
                 for tag in ("a", "r", "g"):
                     self._rings.append(
-                        ShmRing(f"{base}{tag}{e.index}", slots=slots, create=True)
+                        ShmRing(
+                            f"{base}{tag}{e.index}", slots=slots, create=True, ctx=ctx
+                        )
                     )
-            ctx = multiprocessing.get_context(start_method or _default_start_method())
+            ring_bells = {ring.name: ring.bells for ring in self._rings}
             self._done = ctx.Queue()
             for w in range(k):
+                # Each worker parks on its own bell of the (possibly shared)
+                # mirror; the mirror's owner rings them all at every publish.
+                self._mirror_bells.append(self.mirror.reader_bell(ctx))
                 init = self._worker_init(
                     w, base=base, slots=slots, wname=self._wname,
                     mbname=self._mbname, replica=replica, num_replicas=num_replicas,
+                    ring_bells=ring_bells, mirror_bell=self._mirror_bells[-1],
                 )
                 recv_end, send_end = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
@@ -535,7 +547,8 @@ class ProcessWorkerPool(_WorkerPoolBase):
     def shared_handles(self) -> tuple:
         """What a replica pool attaches instead of creating its own:
         ``(mirror, mailbox, mirror_name, mailbox_name)`` — pass as the
-        ``shared`` constructor argument (see :class:`ReplicaGroup`)."""
+        ``shared`` constructor argument (see :class:`ReplicaGroup`).  The
+        replica pool's workers get their own doorbells on this mirror."""
         return (self.mirror, self.mailbox, self._wname, self._mbname)
 
     def collect(self) -> _StepResult:
@@ -588,6 +601,9 @@ class ProcessWorkerPool(_WorkerPoolBase):
                 conn.close()
         self._conns = []
         self._procs = []
+        if self.mirror is not None:
+            self.mirror.retire_bells(self._mirror_bells)
+        self._mirror_bells = []
 
     def close(self) -> None:
         self.stop_workers()

@@ -435,6 +435,11 @@ class WorkerCompute:
             m for m in self.all_modules if isinstance(m, Dropout) and m.counter_based
         ]
         self._deferred = [m for m in self.all_modules if hasattr(m, "deferred_grads")]
+        # Per module: (len(__dict__) the names were resolved at, cache
+        # attribute names) — see cache_state().
+        self._cache_attrs: list[tuple[int, tuple[str, ...]]] = [
+            (-1, ()) for _ in self.all_modules
+        ]
         # Every (stage, position) this slice *reads* weights from — owned
         # bindings plus borrowed tied-weight coordinates.  The per-wave
         # version gate is the max requirement over these stages; the
@@ -500,15 +505,24 @@ class WorkerCompute:
         level deep: caches like Embedding's index stack are mutated in place
         by backward, so a reference snapshot would alias across the many
         in-flight microbatches; the arrays inside are never mutated (the
-        module contract), so one level suffices."""
-        return [
-            {
-                k: (v.copy() if isinstance(v, (list, dict, set)) else v)
-                for k, v in m.__dict__.items()
-                if _is_cache_attr(k)
-            }
-            for m in self.all_modules
-        ]
+        module contract), so one level suffices.
+
+        This runs once per wave, so each module's attribute names are
+        resolved once and again only when its ``__dict__`` changed size —
+        a cache first assigned inside ``forward`` grows it."""
+        state = []
+        for n, m in enumerate(self.all_modules):
+            attrs = m.__dict__
+            size, names = self._cache_attrs[n]
+            if size != len(attrs):
+                names = tuple(k for k in attrs if _is_cache_attr(k))
+                self._cache_attrs[n] = (len(attrs), names)
+            snap = {}
+            for k in names:
+                v = attrs[k]
+                snap[k] = v.copy() if isinstance(v, (list, dict, set)) else v
+            state.append(snap)
+        return state
 
     def load_cache_state(self, state: list[dict]) -> None:
         for m, attrs in zip(self.all_modules, state):

@@ -19,7 +19,8 @@ here:
   Transformer) each edge of the worker graph, skip edges included, gets its
   own ring per payload kind.  Slots are handed off seqlock-style through
   per-slot publication (``pub``) and consumption (``ack``) counters living
-  in a small control segment; payload bytes are copied straight between
+  in a small control segment, and an endpoint with nothing to do sleeps on
+  a doorbell semaphore; payload bytes are copied straight between
   NumPy buffers, so after the capacity of a channel is negotiated (at the
   first send of a step, growing when shapes change) **no pickling happens
   on the microbatch path**.
@@ -45,6 +46,21 @@ Ring protocol (one writer, one reader, ``slots`` slots):
   seqlock slot-handoff invariant: payload bytes are complete before ``pub``
   advances, and fully copied out before ``ack`` does, so neither side ever
   reads (or overwrites) a half-written slot.
+* **nobody polls those counters.**  Every ring has two doorbells —
+  process-shared counting semaphores.  The writer posts the first one
+  *after* the ``pub`` store, once per message, and the reader takes one
+  token per message before it looks at the slot, blocking in the kernel
+  for what is left of its timeout: the count is exactly "messages
+  published and not yet taken by the reader".  The reader posts the second
+  one after every ``ack`` store and the writer takes one token per slot it
+  reuses (more only while acks arrive out of slot order), so that count
+  never exceeds ``slots``.  The counter stores remain the release
+  operations; a bell only ends a sleep, and a sleeping endpoint costs no
+  CPU — which matters when there are more workers than cores.  The
+  semaphores are created with the ring, travel to worker processes as
+  ``Process`` arguments (fork or spawn), and an endpoint attached by name
+  in the creating process finds them in :data:`local_doorbells`; there is
+  no second, polling path for an endpoint that has neither.
 * messages are **multi-part**: :meth:`ShmRing.send_msg` accepts a bare
   array or a tuple of arrays/None (a stage-graph edge payload, e.g. the
   Transformer decoder's ``(d, memory, tgt_keep, src_keep)``), packed into
@@ -53,8 +69,9 @@ Ring protocol (one writer, one reader, ``slots`` slots):
 * every message is tagged with the driver's step sequence number.  After an
   aborted step (worker exception / deadlock) readers may find stale
   messages from the old step in their rings; :meth:`ShmRing.recv_msg`
-  returns the tag so callers can discard them, which self-heals the channel
-  without any cross-process flush coordination.
+  returns the tag so callers can discard them (one doorbell token each),
+  which self-heals the channel without any cross-process flush
+  coordination.
 * when a payload outgrows the data segment the writer waits for all
   outstanding messages to be consumed, unlinks the old segment and creates
   generation ``g+1`` with a larger slot capacity; the reader re-attaches
@@ -63,19 +80,24 @@ Ring protocol (one writer, one reader, ``slots`` slots):
   the ring.
 
 Counter updates are aligned 8-byte stores read/written through NumPy int64
-views; the seqlock ordering (payload before ``pub``, copy before ``ack``)
-relies on the total-store-order guarantee of x86/x86-64.  Pure Python has
-no portable memory fence, so on weakly-ordered architectures (aarch64,
-ppc64le) the ``pub`` store could in principle become visible before the
-payload bytes; :class:`ShmRing` emits a one-time warning there rather than
-failing silently — use the thread backend (or contribute a fenced
+views; slot headers are packed and unpacked as little-endian int64 fields
+in one ``struct`` call each.  The seqlock ordering (payload before ``pub``,
+copy before ``ack``) relies on the total-store-order guarantee of
+x86/x86-64 wherever a counter is read without first taking a doorbell
+token (the weight mirror's gate fast path, the grad mailbox stamps).  Pure
+Python has no portable memory fence, so on weakly-ordered architectures
+(aarch64, ppc64le) such a store could in principle become visible before
+the payload bytes; :class:`ShmRing` emits a one-time warning there rather
+than failing silently — use the thread backend (or contribute a fenced
 transport) on such hosts.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import platform
 import queue
+import struct
 import time
 import warnings
 from multiprocessing import shared_memory
@@ -185,7 +207,7 @@ _MAX_DIMS = 8
 # Transformer decoder's ``(d, memory, tgt_keep, src_keep)``).  Per-slot base
 # header int64s: [step, kind (0 = bare array, 1 = tuple), nparts, reserved];
 # the data region then carries one part header per component —
-# [present, dtype_code, ndim, nbytes, shape*_MAX_DIMS, perm*_MAX_DIMS] —
+# [present, dtype_code, ndim, offset, shape*_MAX_DIMS, perm*_MAX_DIMS] —
 # followed by the 8-aligned payload blocks.
 #
 # ``perm`` is the axis order that makes the payload C-contiguous: arrays
@@ -198,6 +220,13 @@ _BASE_INTS = 4
 _BASE_BYTES = 8 * _BASE_INTS
 _PART_INTS = 4 + 2 * _MAX_DIMS
 _PART_BYTES = 8 * _PART_INTS
+# Each header is written and read in one call; little-endian int64 is the
+# field layout the slots have always had (native order on every TSO host).
+_BASE_HDR = struct.Struct(f"<{_BASE_INTS}q")
+_PART_HDR = struct.Struct(f"<{_PART_INTS}q")
+_ABSENT_PART = bytes(_PART_BYTES)
+_IDENTITY = tuple(tuple(range(n)) for n in range(_MAX_DIMS + 1))
+_PAD = tuple((0,) * (_MAX_DIMS - n) for n in range(_MAX_DIMS + 1))
 
 
 def _align8(n: int) -> int:
@@ -208,8 +237,12 @@ _CTL_GEN = 0
 _CTL_SLOT_BYTES = 1
 _CTL_FIXED = 2
 
-_SPIN_ROUNDS = 200  # hot-spin iterations before backing off to sleeps
-_POLL_SLEEP = 1e-4
+# Doorbell owners this process created, by name — a ring's semaphore pair, a
+# weight mirror: how an endpoint attached *by name in the creating process*
+# (unit tests, a benchmark probe) reaches the semaphores that worker
+# processes are handed through their ``Process`` args.  An entry lives until
+# the owner's ``unlink()``.
+local_doorbells: dict[str, object] = {}
 
 
 def _round_slot_bytes(nbytes: int) -> int:
@@ -234,7 +267,7 @@ def _layout_perm(array: np.ndarray) -> tuple[int, ...] | None:
     real dimensions.
     """
     if array.flags.c_contiguous:
-        return tuple(range(array.ndim))
+        return _IDENTITY[array.ndim]
     perm = tuple(sorted(
         range(array.ndim),
         key=lambda i: (array.shape[i] > 1, -array.strides[i], i),
@@ -244,12 +277,47 @@ def _layout_perm(array: np.ndarray) -> tuple[int, ...] | None:
     return None
 
 
+def _pack_part(buf, at: int, code: int, off: int, shape, perm) -> None:
+    """Write the header of a present part: ``shape`` is the payload's shape
+    in memory order (already transposed by ``perm``)."""
+    pad = _PAD[len(shape)]
+    _PART_HDR.pack_into(buf, at, 1, code, len(shape), off, *shape, *pad, *perm, *pad)
+
+
+def _unpack_part(buf, at: int):
+    """``(dtype, offset, shape, perm)`` of the part header at ``at``, or
+    ``None`` for an absent part."""
+    fields = _PART_HDR.unpack_from(buf, at)
+    if not fields[0]:
+        return None
+    ndim = fields[2]
+    return (
+        _RING_DTYPES[fields[1]], fields[3], fields[4:4 + ndim],
+        fields[4 + _MAX_DIMS:4 + _MAX_DIMS + ndim],
+    )
+
+
+def _restore_layout(array: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
+    """Undo the send-side transpose: the result has the sender's exact
+    shape *and* memory layout (see :func:`_layout_perm`)."""
+    if perm == _IDENTITY[len(perm)]:
+        return array
+    inverse = [0] * len(perm)
+    for k, axis in enumerate(perm):
+        inverse[axis] = k
+    return array.transpose(inverse)
+
+
 class ShmRing:
     """One directional SPSC array channel (see module docstring).
 
     Exactly one side constructs with ``create=True`` (the driver, which
-    preallocates the control segment and the generation-1 data segment) and
-    each worker endpoint attaches by name with ``role`` "send" or "recv".
+    preallocates the control segment, the generation-1 data segment and the
+    two doorbells) and each worker endpoint attaches by name with ``role``
+    "send" or "recv" and the creator's ``bells``; an endpoint attached in
+    the creating process finds them by name.  ``ctx`` is the
+    ``multiprocessing`` context whose processes will share the ring (a
+    semaphore only travels to children of the context that made it).
     """
 
     def __init__(
@@ -260,6 +328,8 @@ class ShmRing:
         slot_bytes: int = 1 << 16,
         create: bool = False,
         role: str | None = None,
+        bells: tuple | None = None,
+        ctx=None,
     ):
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
@@ -271,10 +341,12 @@ class ShmRing:
         self._gen = 1
         self.xfer_seconds = 0.0  # cumulative time spent copying payloads
         # Writer: (slot, view) staked out by reserve(), published by
-        # commit_if_reserved().  Reader: count of views handed out by
-        # recv_msg_view() and not yet release()d, plus retired data
-        # generations kept mapped while any such view could reference them.
+        # commit_if_reserved(), and the ack tokens taken so far.  Reader:
+        # count of views handed out by recv_msg_view() and not yet
+        # release()d, plus retired data generations kept mapped while any
+        # such view could reference them.
         self._reserved: tuple[int, np.ndarray] | None = None
+        self._acks_taken = 0
         self._open_pins = 0
         self._retired: list = []
         ctl_size = 8 * (_CTL_FIXED + 2 * slots)
@@ -290,7 +362,16 @@ class ShmRing:
             self._data = create_shm(
                 self._data_name(1), slots * (_BASE_BYTES + self._slot_bytes)
             )
+            ctx = ctx or multiprocessing
+            bells = local_doorbells[name] = (ctx.Semaphore(0), ctx.Semaphore(0))
         else:
+            if bells is None:
+                bells = local_doorbells.get(name)
+            if bells is None:
+                raise TransportError(
+                    f"ring {name}: no doorbell for it in this process — attach "
+                    f"where the ring was created, or pass the creator's `bells`"
+                )
             self._ctl = attach_shm(self._ctl_name())
             self._ctl_ints = np.ndarray(
                 (_CTL_FIXED + 2 * slots,), dtype=np.int64, buffer=self._ctl.buf
@@ -298,6 +379,11 @@ class ShmRing:
             self._gen = int(self._ctl_ints[_CTL_GEN])
             self._slot_bytes = int(self._ctl_ints[_CTL_SLOT_BYTES])
             self._data = attach_shm(self._data_name(self._gen))
+        # Counting semaphores.  ``_bell`` holds one token per message
+        # published and not yet taken by the reader; ``_ack_bell`` one per
+        # ack the writer has not consumed yet (never more than ``slots``).
+        self.bells = bells
+        self._bell, self._ack_bell = bells
         self._pub = self._ctl_ints[_CTL_FIXED:_CTL_FIXED + slots]
         self._ack = self._ctl_ints[_CTL_FIXED + slots:]
 
@@ -315,19 +401,36 @@ class ShmRing:
         generation this endpoint has not switched to yet."""
         return self._slot_bytes
 
-    # -- waiting ---------------------------------------------------------------
-    @staticmethod
-    def _wait(predicate, deadline: float, what: str) -> None:
-        spins = 0
-        while not predicate():
-            spins += 1
-            if spins < _SPIN_ROUNDS:
-                continue
-            if time.perf_counter() > deadline:
-                raise TransportTimeout(what)
-            time.sleep(_POLL_SLEEP)
-
     # -- writer side ----------------------------------------------------------
+    def _take_ack(self, deadline: float, what: str) -> None:
+        if not self._ack_bell.acquire(True, deadline - time.perf_counter()):
+            raise TransportTimeout(what)
+        self._acks_taken += 1
+
+    def _await_free(self, m: int, deadline: float) -> int:
+        """Park until message ``m``'s slot is free; returns the slot index.
+
+        Reusing a slot takes the reader's ack of message ``m - slots``, so
+        by then at least ``m - slots + 1`` acks were posted: the writer
+        consumes that many tokens (which keeps the bell's count under
+        ``slots``), then — acks may arrive out of slot order — one more
+        per wake-up until this slot's counters agree."""
+        i = m % self.slots
+        due = m - self.slots + 1
+        while self._acks_taken < due or self._ack[i] != self._pub[i]:
+            self._take_ack(
+                deadline, f"ring {self.name}: peer never freed slot {i} (message {m})"
+            )
+        return i
+
+    def _publish(self, i: int) -> None:
+        """Advertise the message in slot ``i``.  The ``pub`` store is the
+        release (payload and headers are complete before it); the bell only
+        wakes the reader."""
+        self._msg += 1
+        self._pub[i] = self._msg
+        self._bell.release()
+
     def send_msg(
         self, payload: "np.ndarray | tuple", step: int, timeout: float
     ) -> None:
@@ -337,14 +440,9 @@ class ShmRing:
         hand-off stays one-per-payload however many components it has."""
         self._reserved = None  # a stale reservation is superseded by this send
         deadline = time.perf_counter() + timeout
-        m = self._msg
-        i = m % self.slots
-        self._wait(
-            lambda: self._ack[i] == self._pub[i], deadline,
-            f"ring {self.name}: peer never freed slot {i} (message {m})",
-        )
+        i = self._await_free(self._msg, deadline)
         kind = 1 if isinstance(payload, tuple) else 0
-        parts = list(payload) if kind else [payload]
+        parts = payload if kind else (payload,)
         prepared: list[tuple | None] = []  # (array, code, perm) per present part
         need = _PART_BYTES * len(parts)
         for part in parts:
@@ -359,45 +457,34 @@ class ShmRing:
                 raise TypeError(f"unsupported ring dtype {array.dtype}")
             perm = _layout_perm(array)
             if perm is None:  # strided view with gaps: C-copy is the best we can do
-                perm = tuple(range(array.ndim))
+                perm = _IDENTITY[array.ndim]
             prepared.append((array, code, perm))
             need = _align8(need) + array.nbytes
         if need > self.slot_bytes:
             self._grow(need, deadline)
+        buf = self._data.buf
         base = i * (_BASE_BYTES + self.slot_bytes)
-        hdr = np.ndarray((_BASE_INTS,), dtype=np.int64, buffer=self._data.buf, offset=base)
-        hdr[0] = step
-        hdr[1] = kind
-        hdr[2] = len(parts)
-        hdr[3] = 0
+        _BASE_HDR.pack_into(buf, base, step, kind, len(parts), 0)
+        at = base + _BASE_BYTES
         off = _PART_BYTES * len(parts)
-        for p, item in enumerate(prepared):
-            phdr = np.ndarray(
-                (_PART_INTS,), dtype=np.int64, buffer=self._data.buf,
-                offset=base + _BASE_BYTES + p * _PART_BYTES,
-            )
+        for item in prepared:
             if item is None:
-                phdr[:] = 0
-                continue
-            array, code, perm = item
-            view = array.transpose(perm)  # C-contiguous in memory order
-            off = _align8(off)
-            phdr[0] = 1
-            phdr[1] = code
-            phdr[2] = array.ndim
-            phdr[3] = off
-            phdr[4:4 + array.ndim] = view.shape
-            phdr[4 + _MAX_DIMS:4 + _MAX_DIMS + array.ndim] = perm
-            t0 = time.perf_counter()
-            dst = np.ndarray(
-                view.shape, dtype=array.dtype, buffer=self._data.buf,
-                offset=base + _BASE_BYTES + off,
-            )
-            np.copyto(dst, view)
-            self.xfer_seconds += time.perf_counter() - t0
-            off += array.nbytes
-        self._pub[i] = m + 1  # publish last: payload is complete
-        self._msg = m + 1
+                buf[at:at + _PART_BYTES] = _ABSENT_PART
+            else:
+                array, code, perm = item
+                view = array.transpose(perm)  # C-contiguous in memory order
+                off = _align8(off)
+                _pack_part(buf, at, code, off, view.shape, perm)
+                t0 = time.perf_counter()
+                dst = np.ndarray(
+                    view.shape, dtype=array.dtype, buffer=buf,
+                    offset=base + _BASE_BYTES + off,
+                )
+                np.copyto(dst, view)
+                self.xfer_seconds += time.perf_counter() - t0
+                off += array.nbytes
+            at += _PART_BYTES
+        self._publish(i)
 
     def send(self, array: np.ndarray, step: int, timeout: float) -> None:
         """Single-array convenience wrapper over :meth:`send_msg`."""
@@ -418,41 +505,21 @@ class ShmRing:
         self._reserved = None
         dtype = np.dtype(dtype)
         code = _DTYPE_CODE.get(dtype)
-        ndim = len(shape)
-        if code is None or ndim > _MAX_DIMS:
+        shape = tuple(shape)
+        if code is None or len(shape) > _MAX_DIMS:
             return None
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        need = _align8(_PART_BYTES) + nbytes
-        deadline = time.perf_counter() + timeout
-        m = self._msg
-        i = m % self.slots
-        self._wait(
-            lambda: self._ack[i] == self._pub[i], deadline,
-            f"ring {self.name}: peer never freed slot {i} (message {m})",
-        )
-        if need > self.slot_bytes:
-            self._grow(need, deadline)
-        base = i * (_BASE_BYTES + self.slot_bytes)
-        hdr = np.ndarray((_BASE_INTS,), dtype=np.int64, buffer=self._data.buf, offset=base)
-        hdr[0] = step
-        hdr[1] = 0  # bare array
-        hdr[2] = 1
-        hdr[3] = 0
         off = _align8(_PART_BYTES)
-        phdr = np.ndarray(
-            (_PART_INTS,), dtype=np.int64, buffer=self._data.buf,
-            offset=base + _BASE_BYTES,
-        )
-        phdr[:] = 0
-        phdr[0] = 1
-        phdr[1] = code
-        phdr[2] = ndim
-        phdr[3] = off
-        phdr[4:4 + ndim] = shape
-        phdr[4 + _MAX_DIMS:4 + _MAX_DIMS + ndim] = range(ndim)
+        deadline = time.perf_counter() + timeout
+        i = self._await_free(self._msg, deadline)
+        if off + nbytes > self.slot_bytes:
+            self._grow(off + nbytes, deadline)
+        buf = self._data.buf
+        base = i * (_BASE_BYTES + self.slot_bytes)
+        _BASE_HDR.pack_into(buf, base, step, 0, 1, 0)  # one bare array
+        _pack_part(buf, base + _BASE_BYTES, code, off, shape, _IDENTITY[len(shape)])
         view = np.ndarray(
-            tuple(shape), dtype=dtype, buffer=self._data.buf,
-            offset=base + _BASE_BYTES + off,
+            shape, dtype=dtype, buffer=buf, offset=base + _BASE_BYTES + off
         )
         self._reserved = (i, view)
         return view
@@ -467,8 +534,7 @@ class ShmRing:
         if payload is not view:
             return False
         self._reserved = None
-        self._pub[i] = self._msg + 1  # publish last: payload is complete
-        self._msg += 1
+        self._publish(i)
         return True
 
     def cancel_reserved(self) -> None:
@@ -480,10 +546,11 @@ class ShmRing:
         """Replace the data segment with a roomier generation.  Waits for the
         reader to drain everything in flight first, so no message ever spans
         two generations."""
-        self._wait(
-            lambda: bool((self._ack[:] == self._pub[:]).all()), deadline,
-            f"ring {self.name}: cannot grow while peer holds unread messages",
-        )
+        while not (self._ack == self._pub).all():
+            self._take_ack(
+                deadline,
+                f"ring {self.name}: cannot grow while peer holds unread messages",
+            )
         new_bytes = _round_slot_bytes(max(2 * nbytes, 2 * self.slot_bytes))
         unlink_quietly(self._data)
         gen = self._gen + 1
@@ -497,51 +564,55 @@ class ShmRing:
         self._slot_bytes = new_bytes
 
     # -- reader side ----------------------------------------------------------
+    def _await_message(self, timeout: float) -> tuple[int, int, int]:
+        """Park on the doorbell for the next message — one token per
+        message — and return ``(message, slot, slot byte offset)``."""
+        m = self._msg
+        if not self._bell.acquire(True, timeout):
+            raise TransportTimeout(f"ring {self.name}: message {m} never arrived")
+        i = m % self.slots
+        if self._pub[i] != m + 1:
+            raise TransportError(
+                f"ring {self.name}: doorbell rang for message {m} but slot {i} "
+                f"advertises {int(self._pub[i]) - 1}"
+            )
+        if self._ctl_ints[_CTL_GEN] != self._gen:
+            self._reattach()
+        return m, i, i * (_BASE_BYTES + self.slot_bytes)
+
+    def _ack_slot(self, i: int, m: int) -> None:
+        """Hand slot ``i`` back to the writer (message ``m`` is copied out
+        or its view released) and wake it if it is parked on the ring."""
+        self._ack[i] = m + 1
+        self._ack_bell.release()
+
+    def _copy_out(self, m: int, i: int, base: int) -> tuple[int, "np.ndarray | tuple"]:
+        buf = self._data.buf
+        step, kind, nparts, _ = _BASE_HDR.unpack_from(buf, base)
+        parts: list[np.ndarray | None] = []
+        for at in range(
+            base + _BASE_BYTES, base + _BASE_BYTES + nparts * _PART_BYTES, _PART_BYTES
+        ):
+            part = _unpack_part(buf, at)
+            if part is None:
+                parts.append(None)
+                continue
+            dtype, off, shape, perm = part
+            t0 = time.perf_counter()
+            out = np.ndarray(
+                shape, dtype=dtype, buffer=buf, offset=base + _BASE_BYTES + off
+            ).copy()
+            self.xfer_seconds += time.perf_counter() - t0
+            parts.append(_restore_layout(out, perm))
+        self._ack_slot(i, m)  # release after the copies are complete
+        self._msg = m + 1
+        return step, (tuple(parts) if kind else parts[0])
+
     def recv_msg(self, timeout: float) -> tuple[int, "np.ndarray | tuple"]:
         """Return ``(step_tag, payload)`` for the next message, copying every
         component out of shared memory.  Callers discard tags from aborted
         steps (see module docstring)."""
-        deadline = time.perf_counter() + timeout
-        m = self._msg
-        i = m % self.slots
-        self._wait(
-            lambda: self._pub[i] == m + 1, deadline,
-            f"ring {self.name}: message {m} never arrived",
-        )
-        if self._ctl_ints[_CTL_GEN] != self._gen:
-            self._reattach()
-        base = i * (_BASE_BYTES + self.slot_bytes)
-        hdr = np.ndarray((_BASE_INTS,), dtype=np.int64, buffer=self._data.buf, offset=base)
-        step = int(hdr[0])
-        kind = int(hdr[1])
-        nparts = int(hdr[2])
-        parts: list[np.ndarray | None] = []
-        for p in range(nparts):
-            phdr = np.ndarray(
-                (_PART_INTS,), dtype=np.int64, buffer=self._data.buf,
-                offset=base + _BASE_BYTES + p * _PART_BYTES,
-            )
-            if int(phdr[0]) == 0:
-                parts.append(None)
-                continue
-            dtype = _RING_DTYPES[int(phdr[1])]
-            ndim = int(phdr[2])
-            off = int(phdr[3])
-            shape = tuple(int(d) for d in phdr[4:4 + ndim])
-            perm = tuple(int(d) for d in phdr[4 + _MAX_DIMS:4 + _MAX_DIMS + ndim])
-            t0 = time.perf_counter()
-            src = np.ndarray(
-                shape, dtype=dtype, buffer=self._data.buf, offset=base + _BASE_BYTES + off
-            )
-            out = src.copy()
-            self.xfer_seconds += time.perf_counter() - t0
-            # Undo the send-side transpose: the result has the sender's
-            # exact shape *and* memory layout (see _layout_perm).
-            inv = np.argsort(perm) if ndim else ()
-            parts.append(out.transpose(inv))
-        self._ack[i] = m + 1  # release after the copies are complete
-        self._msg = m + 1
-        return step, (tuple(parts) if kind else parts[0])
+        return self._copy_out(*self._await_message(timeout))
 
     def recv(self, timeout: float) -> tuple[int, np.ndarray]:
         """Single-array convenience wrapper over :meth:`recv_msg`."""
@@ -560,52 +631,27 @@ class ShmRing:
         and at most N messages per ring are pinned per step against 2N
         slots, so the writer's slot wait can only ever be on a message the
         reader already finished with."""
-        deadline = time.perf_counter() + timeout
-        m = self._msg
-        i = m % self.slots
-        self._wait(
-            lambda: self._pub[i] == m + 1, deadline,
-            f"ring {self.name}: message {m} never arrived",
-        )
-        if self._ctl_ints[_CTL_GEN] != self._gen:
-            self._reattach()
-        base = i * (_BASE_BYTES + self.slot_bytes)
-        hdr = np.ndarray((_BASE_INTS,), dtype=np.int64, buffer=self._data.buf, offset=base)
-        step = int(hdr[0])
-        kind = int(hdr[1])
-        nparts = int(hdr[2])
-        if kind == 0 and nparts == 1:
-            phdr = np.ndarray(
-                (_PART_INTS,), dtype=np.int64, buffer=self._data.buf,
-                offset=base + _BASE_BYTES,
-            )
-            if int(phdr[0]) == 1:
-                dtype = _RING_DTYPES[int(phdr[1])]
-                ndim = int(phdr[2])
-                off = int(phdr[3])
-                shape = tuple(int(d) for d in phdr[4:4 + ndim])
-                perm = tuple(int(d) for d in phdr[4 + _MAX_DIMS:4 + _MAX_DIMS + ndim])
-                view = np.ndarray(
-                    shape, dtype=dtype, buffer=self._data.buf,
-                    offset=base + _BASE_BYTES + off,
-                )
-                view.setflags(write=False)
-                inv = np.argsort(perm) if ndim else ()
-                self._msg = m + 1
-                self._open_pins += 1
-                return step, view.transpose(inv), (i, m)
-        # Copying path (tuple payloads, absent parts): the message counter
-        # has not advanced, so recv_msg re-reads this same slot, copies it
-        # out and acks it.
-        step, payload = self.recv_msg(timeout)
-        return step, payload, None
+        m, i, base = self._await_message(timeout)
+        buf = self._data.buf
+        step, kind, nparts, _ = _BASE_HDR.unpack_from(buf, base)
+        bare = kind == 0 and nparts == 1
+        part = _unpack_part(buf, base + _BASE_BYTES) if bare else None
+        if part is None:
+            # Tuple payloads and absent parts are copied out of the slot
+            # already in hand (its doorbell token is taken) and acked.
+            return (*self._copy_out(m, i, base), None)
+        dtype, off, shape, perm = part
+        view = np.ndarray(shape, dtype=dtype, buffer=buf, offset=base + _BASE_BYTES + off)
+        view.setflags(write=False)
+        self._msg = m + 1
+        self._open_pins += 1
+        return step, _restore_layout(view, perm), (i, m)
 
     def release(self, token) -> None:
         """Ack a slot pinned by :meth:`recv_msg_view` — the writer may now
         reuse it.  Out-of-order release across slots is fine (ack counters
         are per-slot)."""
-        i, m = token
-        self._ack[i] = m + 1
+        self._ack_slot(*token)
         self._open_pins -= 1
         if self._open_pins == 0 and self._retired:
             for shm in self._retired:
@@ -676,6 +722,7 @@ class ShmRing:
                 pass
         unlink_quietly(self._data)
         unlink_quietly(self._ctl)
+        local_doorbells.pop(self.name, None)
 
 
 # -- channel sets ---------------------------------------------------------------
@@ -845,17 +892,22 @@ class RingChannels(Channels):
             r.close()
 
 
-def worker_rings(graph, w: int, base: str, slots: int) -> dict[tuple[str, int], ShmRing]:
+def worker_rings(
+    graph, w: int, base: str, slots: int, bells: dict[str, tuple]
+) -> dict[tuple[str, int], ShmRing]:
     """Attach worker ``w``'s ring endpoints: for each cross-worker edge it
-    sits on, activations/recomputes flow src→dst and gradients dst→src."""
+    sits on, activations/recomputes flow src→dst and gradients dst→src.
+    ``bells`` maps ring names to the creator's doorbells (:attr:`ShmRing.bells`)."""
     rings: dict[tuple[str, int], ShmRing] = {}
     for e in graph.cross_edges():
         if w not in (e.src_worker, e.dst.worker):
             continue
         fwd, bwd = ("recv", "send") if e.dst.worker == w else ("send", "recv")
-        rings[("act", e.index)] = ShmRing(f"{base}a{e.index}", slots=slots, role=fwd)
-        rings[("rec", e.index)] = ShmRing(f"{base}r{e.index}", slots=slots, role=fwd)
-        rings[("grad", e.index)] = ShmRing(f"{base}g{e.index}", slots=slots, role=bwd)
+        for kind, tag, role in (("act", "a", fwd), ("rec", "r", fwd), ("grad", "g", bwd)):
+            name = f"{base}{tag}{e.index}"
+            rings[(kind, e.index)] = ShmRing(
+                name, slots=slots, role=role, bells=bells[name]
+            )
     return rings
 
 

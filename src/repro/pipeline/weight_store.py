@@ -51,6 +51,7 @@ future wave to resolve (``StepPlan.resolvable_versions``) are skipped.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
@@ -62,6 +63,7 @@ from repro.pipeline.transport import (
     attach_shm,
     block_views,
     create_shm,
+    local_doorbells,
     stage_block_layout,
     unlink_quietly,
 )
@@ -217,9 +219,16 @@ class SharedWeightMirror:
 
     The driver (``readonly=False``, ``create=True``) copies the new version
     in after every optimizer step, *then* bumps ``latest_version`` — the
-    release store worker-side :meth:`wait_version` gates spin on, which is
+    release store worker-side :meth:`wait_version` gates check, which is
     how an overlapped step's waves are admitted exactly when the versions
-    they resolve exist.  Workers only ever resolve versions
+    they resolve exist — and rings every reader's doorbell.  A reader that
+    finds the header behind parks on its own bell (a semaphore minted by
+    :meth:`reader_bell`; one per reader, because a post wakes one waiter)
+    and re-checks the header at every wake-up: the header is the signal
+    and the bell only ends the sleep, so a token left by a publish the
+    reader never waited for costs one extra look, nothing else.
+
+    Workers only ever resolve versions
     ``> latest − history``, and the slot of version ``v`` is not rewritten
     until version ``v + history`` is pushed — whose concurrently running
     step can resolve nothing older than ``v + 2`` (module docstring) — so
@@ -241,6 +250,7 @@ class SharedWeightMirror:
         with_velocity: bool,
         create: bool = False,
         readonly: bool = False,
+        bell=None,
     ):
         if history < 1:
             raise ValueError(f"history must be >= 1, got {history}")
@@ -256,14 +266,21 @@ class SharedWeightMirror:
         else:
             self._shm = attach_shm(name)
         self._hdr = np.ndarray((self._HDR_INTS,), dtype=np.int64, buffer=self._shm.buf)
+        # Driver side: one doorbell per reader, rung after every header bump.
+        self._reader_bells: list = []
         if create:
             self._hdr[0] = -1  # no version published yet
             self._hdr[1] = int(with_velocity)
+            local_doorbells[name] = self
         elif bool(self._hdr[1]) != with_velocity:
             raise ValueError(
                 "mirror and worker disagree on T2 velocity (one side has a "
                 "corrector, the other does not)"
             )
+        elif bell is None and name in local_doorbells:
+            # Attached by name in the creating process: the owner is at hand.
+            bell = local_doorbells[name].reader_bell(multiprocessing)
+        self._bell = bell
         self._slot_views = [
             block_views(self._shm.buf, stage_shapes, hdr_bytes + s * block, offsets)
             for s in range(history)
@@ -299,6 +316,21 @@ class SharedWeightMirror:
             for view, arr in zip(stage_views, arrays):
                 np.copyto(view, arr)
         self._hdr[0] = version  # publish last
+        for bell in self._reader_bells:
+            bell.release()
+
+    def reader_bell(self, ctx):
+        """Driver side: mint the doorbell of one more reader, to hand to the
+        worker process (``bell=`` of its read-only endpoint) through its
+        ``Process`` args.  ``ctx`` is the context that starts the worker."""
+        bell = ctx.Semaphore(0)
+        self._reader_bells.append(bell)
+        return bell
+
+    def retire_bells(self, bells) -> None:
+        """Driver side: stop ringing for readers that are gone."""
+        for bell in bells:
+            self._reader_bells.remove(bell)
 
     def publish_velocity(self, velocity_per_stage: list[list[np.ndarray]]) -> None:
         for stage_views, arrays in zip(self._vel_views, velocity_per_stage):
@@ -324,24 +356,23 @@ class SharedWeightMirror:
             )
 
     def wait_version(self, version: int, timeout: float) -> None:
-        """Spin until ``version`` is advertised by the header (immediately
+        """Park until ``version`` is advertised by the header (immediately
         true for resident or evicted versions) — the worker side of the
-        per-version readiness signal.  Mirrors :class:`ShmRing`'s hot-spin
-        then sleep backoff."""
+        per-version readiness signal.  Costs no CPU while waiting."""
         if self.latest_version >= version:
             return
+        if self._bell is None:
+            raise RuntimeError(
+                f"mirror {self.name}: this endpoint has no doorbell to wait on "
+                f"(pass the `bell` the driver's reader_bell() minted for it)"
+            )
         deadline = time.perf_counter() + timeout
-        spins = 0
         while self.latest_version < version:
-            spins += 1
-            if spins < 200:
-                continue
-            if time.perf_counter() > deadline:
+            if not self._bell.acquire(True, deadline - time.perf_counter()):
                 raise TransportTimeout(
                     f"weight version {version} was never published "
                     f"(mirror header at {self.latest_version} after {timeout:g}s)"
                 )
-            time.sleep(1e-4)
 
     # -- worker side ----------------------------------------------------------
     def weights(self, stage: int, version: int) -> list[np.ndarray]:
@@ -364,3 +395,4 @@ class SharedWeightMirror:
 
     def unlink(self) -> None:
         unlink_quietly(self._shm)
+        local_doorbells.pop(self.name, None)

@@ -19,7 +19,8 @@ The runtime suites (``test_runtime_*``, ``test_elastic_recovery``,
 ``test_wave_fusion``, ``test_granularity``) run under the autouse
 ``_no_runtime_leaks`` fixture: after every test — including the ones that
 wedge a pool or kill a worker — no child process may be alive, and no new
-``/dev/shm/pm*`` segment or ``pmnet-*`` temp directory may exist.  A leak it
+``/dev/shm/pm*`` segment, named semaphore (``/dev/shm/sem.mp-*``) or
+``pmnet-*`` temp directory may exist.  A leak it
 exposes is a bug in a pool's ``close()``, not something to allow-list.
 
 Timeouts
@@ -74,14 +75,17 @@ _LEAK_CHECKED_MODULES = (
 
 
 def _runtime_residue() -> set[str]:
-    shm = glob.glob("/dev/shm/pm*")
+    # pm*: rings, mirror, mailbox.  sem.mp-*: a doorbell semaphore made under
+    # a spawn context keeps its name until the driver drops the handle.
+    shm = glob.glob("/dev/shm/pm*") + glob.glob("/dev/shm/sem.mp-*")
     return set(shm) | set(glob.glob(os.path.join(tempfile.gettempdir(), "pmnet-*")))
 
 
 @pytest.fixture(autouse=True)
 def _no_runtime_leaks(request):
     """After each runtime-suite test: no worker process alive, no new
-    shared-memory segment, no new socket directory (see module docstring)."""
+    shared-memory segment or semaphore, no new socket directory (see module
+    docstring)."""
     if not request.module.__name__.startswith(_LEAK_CHECKED_MODULES):
         yield
         return

@@ -14,13 +14,17 @@ The matrix, by backend:
 * **dup** (stale step tag) must be discarded by ring and socket channels;
 * **disconnect** (socket) surfaces as ``WorkerLostError``;
 * **die** kills the worker mid-step at exact coordinates: thread workers
-  raise, process workers wedge the pool, socket workers surface
-  ``WorkerLostError`` — and with restart budget the socket pool respawns
-  the worker set and retries the minibatch bit-exactly.
+  raise, process workers wedge the pool (also when SIGKILLed while parked
+  on a ring doorbell), socket workers surface ``WorkerLostError`` — and
+  with restart budget the socket pool respawns the worker set and retries
+  the minibatch bit-exactly.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 import time
 
 import numpy as np
@@ -261,6 +265,55 @@ class TestKill:
         rt.train_step(x[:16], y[:16])
         with pytest.raises(PipelineDeadlockError):
             rt.train_step(x[16:32], y[16:32])
+        assert rt.pool.wedged
+        assert_weights_restored(rt)
+        t0 = time.perf_counter()
+        rt.close()
+        assert time.perf_counter() - t0 < 10.0, "close() hung after a kill"
+
+    @pytest.mark.timeout(120)
+    def test_process_worker_killed_while_parked_on_its_doorbell(
+        self, rng, monkeypatch
+    ):
+        """A swallowed activation leaves worker 2 blocked inside its ring's
+        semaphore, where it must cost nothing; SIGKILL it right there.  No
+        token is lost or invented that the driver depends on: the death is
+        typed and detected long before ``deadlock_timeout``, the pool
+        wedges, and close() still reaps the survivors parked behind it."""
+        x, y = toy_data(rng)
+        install(monkeypatch, [
+            FaultRule(op="send", action="drop", worker=1, kind="act", step=2),
+        ])
+        m, rt = build(
+            "process", deadlock_timeout=8.0, done_grace=2.0,
+            overlap_boundary=False,
+        )
+        rt.train_step(x[:16], y[:16])
+        victim = rt.pool._procs[2]
+        parked_ticks = []
+
+        def cpu_ticks():  # utime + stime of the victim, in clock ticks
+            with open(f"/proc/{victim.pid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+            return int(fields[11]) + int(fields[12])
+
+        def kill_once_parked():
+            time.sleep(0.2)
+            before = cpu_ticks()
+            time.sleep(0.4)
+            parked_ticks.append(cpu_ticks() - before)
+            os.kill(victim.pid, signal.SIGKILL)
+
+        killer = threading.Thread(target=kill_once_parked)
+        killer.start()
+        t0 = time.perf_counter()
+        with pytest.raises(PipelineDeadlockError, match="died with exit code -9"):
+            rt.train_step(x[16:32], y[16:32])
+        assert time.perf_counter() - t0 < 4.0, "death noticed only by timeout"
+        killer.join(5.0)
+        assert parked_ticks[0] <= 1, (
+            f"a parked worker burned {parked_ticks[0]} clock ticks in 0.4 s"
+        )
         assert rt.pool.wedged
         assert_weights_restored(rt)
         t0 = time.perf_counter()

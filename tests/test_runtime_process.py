@@ -10,6 +10,8 @@ stats) sync back to the driver, and the error/deadlock paths.
 
 from __future__ import annotations
 
+import gc
+import glob
 import time
 
 import numpy as np
@@ -291,15 +293,28 @@ class TestSpecConstruction:
     @pytest.mark.timeout(240)
     def test_spawn_start_method(self, rng):
         """The spec machinery must survive a cold interpreter: spawn ships
-        only picklable state and the worker imports/rebuilds everything."""
+        only picklable state and the worker imports/rebuilds everything.
+        That includes the doorbells — a spawned worker inherits nothing, so
+        the ring and mirror semaphores reach it only through its ``Process``
+        args; three workers give the middle one a bell on every side, T2
+        puts the version gate on the backward path.  Under spawn the
+        semaphores are *named*: none may outlive ``close()``."""
         x, y = toy_classification(rng)
-        m1, ex = build_mlp_backend(PipelineExecutor, "pipemare", num_stages=2, num_microbatches=2)
+        cfg = PipeMareConfig.t1_t2(anneal_steps=50, decay=0.5)
+        m1, ex = build_mlp_backend(
+            PipelineExecutor, "pipemare", num_stages=3, num_microbatches=2, cfg=cfg
+        )
+        named = set(glob.glob("/dev/shm/sem.mp-*"))
         m2, rt = build_process_backend(
-            "pipemare", num_stages=2, num_microbatches=2,
+            "pipemare", num_stages=3, num_microbatches=2, cfg=cfg,
             start_method="spawn", deadlock_timeout=60.0,
         )
         with rt:
-            assert_equivalent(m1, ex, m2, rt, x, y, steps=3)
+            assert set(glob.glob("/dev/shm/sem.mp-*")) - named, "spawn doorbells are named"
+            assert_equivalent(m1, ex, m2, rt, x, y, steps=4)
+        del rt
+        gc.collect()
+        assert not set(glob.glob("/dev/shm/sem.mp-*")) - named
 
     @pytest.mark.timeout(120)
     def test_mismatched_spec_rejected_at_construction(self, rng):

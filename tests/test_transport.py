@@ -7,16 +7,21 @@ exercised end-to-end by ``tests/test_runtime_process.py``.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.pipeline.transport import (
+    RingChannels,
     SharedGradMailbox,
     ShmRing,
+    TransportError,
     TransportTimeout,
+    local_doorbells,
     stage_block_layout,
 )
 from repro.pipeline.weight_store import SharedWeightMirror
@@ -223,6 +228,244 @@ class TestShmRing:
             w.close(); r.close(); owner.unlink()
 
 
+def on_thread(fn):
+    """Run ``fn`` on a helper thread; ``result()`` joins and returns
+    ``(fn's value, CPU seconds that thread burned, wall seconds)``."""
+    out = {}
+
+    def body():
+        wall, cpu = time.perf_counter(), time.thread_time()
+        out["value"] = fn()
+        out["cpu"] = time.thread_time() - cpu
+        out["wall"] = time.perf_counter() - wall
+
+    th = threading.Thread(target=body)
+    th.start()
+
+    def result():
+        th.join(10.0)
+        assert not th.is_alive(), "helper thread is still blocked"
+        return out["value"], out["cpu"], out["wall"]
+
+    return result
+
+
+def _relay(name_in, name_out, bells_in, bells_out, slots, count):
+    """Child process: forward ``count`` messages from one ring to the next,
+    half of them through the pinned-view path."""
+    src = ShmRing(name_in, slots=slots, role="recv", bells=bells_in)
+    dst = ShmRing(name_out, slots=slots, role="send", bells=bells_out)
+    try:
+        for m in range(count):
+            if m % 2:
+                tag, payload = src.recv_msg(20.0)
+                dst.send_msg(payload, tag, 20.0)
+            else:
+                tag, view, token = src.recv_msg_view(20.0)
+                dst.send_msg(view, tag, 20.0)
+                src.release(token)
+    finally:
+        src.close(); dst.close()
+
+
+class TestDoorbell:
+    """The ring's blocking hand-off: the reader's bell holds exactly one
+    token per message published and not yet taken, the writer's at most
+    ``slots`` unconsumed acks, and a parked endpoint burns no CPU."""
+
+    def test_tokens_equal_unreceived_messages(self, rng):
+        slots = 4
+        owner, w, r = make_ring("tbell-a", slots=slots, slot_bytes=8192)
+        bell, ack_bell = owner.bells
+        sent = received = 0
+
+        def check():
+            assert bell.get_value() == sent - received
+            assert ack_bell.get_value() <= slots
+
+        try:
+            for round_ in range(3 * slots):  # wraps the ring several times
+                for _ in range(1 + round_ % slots):
+                    w.send(rng.normal(size=(5,)), step=1, timeout=2.0)
+                    sent += 1
+                    check()
+                while received < sent - round_ % 2:  # leave one behind on odd rounds
+                    r.recv(2.0)
+                    received += 1
+                    check()
+            while received < sent:
+                r.recv(2.0)
+                received += 1
+            # a reserve/commit publish rings once, at commit
+            view = w.reserve((3,), np.float64, step=1, timeout=2.0)
+            check()
+            view[...] = 1.0
+            assert w.commit_if_reserved(view)
+            sent += 1
+            check()
+            # a pinned view took its token at receive, not at release
+            _, _, token = r.recv_msg_view(2.0)
+            received += 1
+            check()
+            r.release(token)
+            # a tuple payload falls back to the copying path inside
+            # recv_msg_view without taking a second token
+            w.send_msg((np.ones(3), None, np.arange(4)), step=1, timeout=2.0)
+            w.send(np.zeros(2), step=1, timeout=2.0)
+            sent += 2
+            _, payload, token = r.recv_msg_view(2.0)
+            received += 1
+            assert token is None and payload[1] is None
+            check()
+            r.recv(2.0)
+            received += 1
+            check()
+            assert bell.get_value() == 0
+        finally:
+            w.close(); r.close(); owner.unlink()
+
+    def test_stale_step_residue_takes_one_token_per_message(self, rng):
+        """N messages an aborted step left behind are discarded by tag, one
+        token each, and the live message behind them is delivered."""
+        n = 3
+        owner, w, r = make_ring("tbell-b", slots=2 * n, slot_bytes=8192)
+        try:
+            chans = RingChannels({("act", 0): r}, timeout=2.0)
+            for _ in range(n):
+                w.send(rng.normal(size=(4,)), step=1, timeout=2.0)
+            live = rng.normal(size=(4,))
+            w.send(live, step=2, timeout=2.0)
+            assert owner.bells[0].get_value() == n + 1
+            chans.step = 2
+            np.testing.assert_array_equal(chans.recv("act", 0), live)
+            assert owner.bells[0].get_value() == 0
+            chans.release_all()
+            # every slot was acked: the writer can lap the ring again
+            for _ in range(2 * n):
+                w.send(live, step=2, timeout=0.5)
+        finally:
+            w.close(); r.close(); owner.unlink()
+
+    def test_timeout_is_typed_worded_and_not_doubled(self):
+        owner, w, r = make_ring("tbell-c")
+        try:
+            for recv in (r.recv_msg, r.recv_msg_view):
+                t0 = time.perf_counter()
+                with pytest.raises(TransportTimeout, match="message 0 never arrived"):
+                    recv(0.3)
+                assert 0.3 <= time.perf_counter() - t0 < 0.5
+            chans = RingChannels({("act", 0): r}, timeout=0.3)
+            t0 = time.perf_counter()
+            with pytest.raises(
+                TransportTimeout,
+                match=r"waited >0.3s for a act payload on edge 0 that never arrived",
+            ):
+                chans.recv("act", 0)
+            assert 0.3 <= time.perf_counter() - t0 < 0.5
+        finally:
+            w.close(); r.close(); owner.unlink()
+
+    def test_blocked_reader_burns_no_cpu(self, rng):
+        owner, w, r = make_ring("tbell-d")
+        try:
+            result = on_thread(lambda: r.recv(5.0))
+            time.sleep(0.3)
+            payload = rng.normal(size=(6,))
+            w.send(payload, step=3, timeout=2.0)
+            (tag, out), cpu, wall = result()
+            assert tag == 3
+            np.testing.assert_array_equal(out, payload)
+            assert wall >= 0.25
+            assert cpu < 0.005, f"parked reader used {cpu * 1e3:.1f} ms of CPU"
+        finally:
+            w.close(); r.close(); owner.unlink()
+
+    def test_blocked_writer_parks_until_the_ack(self, rng):
+        owner, w, r = make_ring("tbell-e", slots=2, slot_bytes=8192)
+        try:
+            for _ in range(2):
+                w.send(rng.normal(size=(4,)), step=1, timeout=2.0)
+            last = rng.normal(size=(4,))
+            result = on_thread(lambda: w.send(last, step=1, timeout=5.0))
+            time.sleep(0.3)
+            r.recv(2.0)  # acks slot 0: the parked writer wakes and publishes
+            _, cpu, wall = result()
+            assert wall >= 0.25
+            assert cpu < 0.005, f"parked writer used {cpu * 1e3:.1f} ms of CPU"
+            r.recv(2.0)
+            np.testing.assert_array_equal(r.recv(2.0)[1], last)
+        finally:
+            w.close(); r.close(); owner.unlink()
+
+    @pytest.mark.timeout(60)
+    def test_relay_chain_of_processes_loses_and_invents_nothing(self, rng):
+        """More processes than cores, two-slot rings (every hop parks the
+        writer on its ack bell and the reader on its doorbell all the
+        time): every message arrives once, in order, intact, and both
+        bells of every ring end where the token invariants say."""
+        ctx = multiprocessing.get_context("fork")
+        slots, count, hops = 2, 400, 4
+        rings = [
+            ShmRing(unique(f"tbell-r{h}"), slots=slots, slot_bytes=256, create=True, ctx=ctx)
+            for h in range(hops)
+        ]
+        procs = [
+            ctx.Process(
+                target=_relay, daemon=True,
+                args=(a.name, b.name, a.bells, b.bells, slots, count),
+            )
+            for a, b in zip(rings, rings[1:])
+        ]
+        head = ShmRing(rings[0].name, slots=slots, role="send")
+        tail = ShmRing(rings[-1].name, slots=slots, role="recv")
+        try:
+            for p in procs:
+                p.start()
+            payloads = [rng.normal(size=(1 + m % 7,)) for m in range(count)]
+
+            def feed():
+                for m, payload in enumerate(payloads):
+                    head.send(payload, step=m, timeout=20.0)
+
+            feeder = threading.Thread(target=feed)
+            feeder.start()
+            for m, payload in enumerate(payloads):
+                tag, out = tail.recv(20.0)
+                assert tag == m
+                np.testing.assert_array_equal(out, payload)
+            feeder.join(20.0)
+            assert not feeder.is_alive()
+            for p in procs:
+                p.join(20.0)
+                assert p.exitcode == 0
+            for ring in rings:
+                bell, ack_bell = ring.bells
+                assert bell.get_value() == 0  # everything published was taken
+                # the writer consumed one ack per slot it reused
+                assert ack_bell.get_value() == slots
+        finally:
+            for p in procs:
+                if p.is_alive():
+                    p.kill()
+                    p.join(5.0)
+            head.close(); tail.close()
+            for ring in rings:
+                ring.unlink()
+
+    def test_attach_without_a_doorbell_is_refused(self, monkeypatch):
+        """There is no polling fallback: an endpoint that cannot reach the
+        ring's semaphores (a foreign process handed no ``bells``) fails at
+        attach, and works once they are passed."""
+        owner, w, r = make_ring("tbell-f")
+        try:
+            monkeypatch.delitem(local_doorbells, owner.name)
+            with pytest.raises(TransportError, match="no doorbell"):
+                ShmRing(owner.name, slots=owner.slots, role="recv")
+            ShmRing(owner.name, slots=owner.slots, role="recv", bells=owner.bells).close()
+        finally:
+            w.close(); r.close(); owner.unlink()
+
+
 class TestStageBlocks:
     def test_layout_offsets_are_aligned_and_disjoint(self):
         shapes = [[(3, 2), (2,)], [(4,)], [(5, 1), (1,)]]
@@ -305,3 +548,28 @@ class TestSharedWeightMirror:
                 SharedWeightMirror(name, shapes, history=2, with_velocity=True)
         finally:
             owner.unlink()
+
+    def test_wait_version_parks_without_cpu_and_times_out(self, rng):
+        shapes = [[(2,)]]
+        name = unique("tmir-d")
+        owner = SharedWeightMirror(name, shapes, history=2, with_velocity=False, create=True)
+        reader = SharedWeightMirror(name, shapes, history=2, with_velocity=False, readonly=True)
+        try:
+            # publishes nobody waited for leave tokens behind; a later wait
+            # must look past them and still park for the real one
+            for v in range(3):
+                owner.publish_version(v, [[np.full(2, float(v))]])
+            reader.wait_version(2, timeout=1.0)
+            result = on_thread(lambda: reader.wait_version(3, timeout=5.0))
+            time.sleep(0.3)
+            owner.publish_version(3, [[np.full(2, 3.0)]])
+            _, cpu, wall = result()
+            assert wall >= 0.25
+            assert cpu < 0.005, f"parked gate used {cpu * 1e3:.1f} ms of CPU"
+            assert reader.latest_version == 3
+            t0 = time.perf_counter()
+            with pytest.raises(TransportTimeout, match="version 9 was never published"):
+                reader.wait_version(9, timeout=0.3)
+            assert 0.3 <= time.perf_counter() - t0 < 0.5
+        finally:
+            reader.close(); owner.unlink()

@@ -238,3 +238,41 @@ class TestCommands:
         worker.serve(pending.popleft, send)
         assert pending  # the fence was never reached
         assert calls[-1][1][2] == "ok"
+
+
+class TestCacheState:
+    """``WorkerCompute.cache_state`` resolves each module's cache attribute
+    names once; the per-wave snapshot must still equal a fresh scan."""
+
+    @staticmethod
+    def reference(compute):
+        """The per-wave scan the cached schema replaced."""
+        return [
+            {
+                k: (v.copy() if isinstance(v, (list, dict, set)) else v)
+                for k, v in m.__dict__.items()
+                if k.startswith("_") and k not in ("_parameters", "_modules")
+            }
+            for m in compute.all_modules
+        ]
+
+    def test_matches_a_fresh_scan_and_sees_lazily_grown_caches(self, rng):
+        worker, plan, _ = make_worker()
+        compute = worker.compute
+        assert compute.cache_state() == self.reference(compute)  # schema resolved
+        plan.begin_step()
+        serve(worker, [step_command(plan, 1, rng)])  # forwards refill the caches
+        state, expect = compute.cache_state(), self.reference(compute)
+        assert [set(a) for a in state] == [set(a) for a in expect]
+        for got, want in zip(state, expect):
+            assert all(got[k] is want[k] for k in got)  # arrays by reference
+        # a cache first assigned inside forward(), after the schema was resolved
+        module = compute.all_modules[-1]
+        object.__setattr__(module, "_lazy_stack", [np.ones(2)])
+        snap = compute.cache_state()[-1]
+        assert snap["_lazy_stack"] == [module._lazy_stack[0]]
+        assert snap["_lazy_stack"] is not module._lazy_stack, "containers are copied"
+        # restoring an older snapshot and snapshotting again round-trips
+        module._lazy_stack.append(np.zeros(2))
+        compute.load_cache_state([{}] * (len(compute.all_modules) - 1) + [snap])
+        assert len(compute.cache_state()[-1]["_lazy_stack"]) == 1
